@@ -12,7 +12,7 @@ namespace {
 
 // Streaming zesplot accumulator: collects the day's responsive
 // addresses from ResultSink::on_target as the scan completes, instead
-// of materializing a ScanReport per day. Double-buffered so the last
+// of copying the frame per day. Double-buffered so the last
 // completed day survives the next day's stream.
 class ResponseAccumulator final : public scan::ResultSink {
  public:

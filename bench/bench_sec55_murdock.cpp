@@ -4,6 +4,7 @@
 // (50.1M vs 113.8M).
 
 #include "bench_common.h"
+#include "apd/apd.h"
 #include "apd/murdock.h"
 
 using namespace v6h;
@@ -38,13 +39,13 @@ int main(int argc, char** argv) {
   }
 
   // Probing volume: our APD probes 16 addresses per candidate prefix.
-  netsim::NetworkSim counting_sim(universe);
-  apd::ApdOptions apd_options;
-  apd_options.min_targets = std::max<std::size_t>(
+  // The hitlist is deduplicated, so one counter pass over it yields
+  // the full multi-level candidate set.
+  const std::size_t min_targets = std::max<std::size_t>(
       3, static_cast<std::size_t>(std::llround(0.1 * args.scale)));
-  apd::AliasDetector fresh(counting_sim, apd_options, &eng);
-  const auto candidates = fresh.candidate_prefixes(targets);
-  const std::uint64_t our_addresses = candidates.size() * 16ull;
+  apd::CandidateCounter counter(universe.bgp(), min_targets, &eng);
+  counter.add_addresses(targets.data(), targets.size());
+  const std::uint64_t our_addresses = counter.candidates().size() * 16ull;
 
   util::TextTable table({"Metric", "ours", "Murdock et al.", "paper"});
   table.add_row({"hitlist addresses flagged aliased",

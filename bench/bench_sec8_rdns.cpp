@@ -4,7 +4,8 @@
 
 #include "bench_common.h"
 #include "hitlist/stats.h"
-#include "probe/scanner.h"
+#include "scan/scan_engine.h"
+#include "scan/scan_frame.h"
 #include "rdns/rdns.h"
 #include "ipv6/iid.h"
 #include <set>
@@ -72,28 +73,25 @@ int main(int argc, char** argv) {
   }
   std::printf("  removed %zu rDNS addresses in aliased prefixes (paper: 13.1k)\n",
               filtered_aliased);
-  probe::Scanner scanner(sim, &eng);
-  const auto rdns_scan = scanner.scan(probe_list, args.horizon);
+  scan::ScanEngine scan_engine(sim, &eng);
+  scan::ScanFrame rdns_scan;
+  scan_engine.scan_addresses(probe_list, args.horizon, {}, &rdns_scan);
 
-  auto rate = [](const probe::ScanReport& r, net::Protocol p) {
-    return r.targets.empty() ? 0.0
-                             : static_cast<double>(r.responsive_count(p)) /
-                                   static_cast<double>(r.targets.size());
-  };
-  auto hitlist_rate = [&](net::Protocol p) {
-    const auto& frame = report.scan();
+  auto rate = [](const scan::ScanFrame& frame, net::Protocol p) {
     return frame.rows().empty()
                ? 0.0
                : static_cast<double>(frame.responsive_count(p)) /
                      static_cast<double>(frame.rows().size());
   };
   util::TextTable rates({"Protocol", "rDNS", "hitlist", "paper rDNS", "paper hitlist"});
-  rates.add_row({"ICMP", util::percent(rate(rdns_scan, net::Protocol::kIcmp)),
-                 util::percent(hitlist_rate(net::Protocol::kIcmp)), "10 %", "6 %"});
-  rates.add_row({"TCP/80", util::percent(rate(rdns_scan, net::Protocol::kTcp80)),
-                 util::percent(hitlist_rate(net::Protocol::kTcp80)), "2 %", "3 %"});
-  rates.add_row({"TCP/443", util::percent(rate(rdns_scan, net::Protocol::kTcp443)),
-                 util::percent(hitlist_rate(net::Protocol::kTcp443)), "1 %", "2 %"});
+  auto add_rate_row = [&](const char* name, net::Protocol p, const char* paper_rdns,
+                          const char* paper_hitlist) {
+    rates.add_row({name, util::percent(rate(rdns_scan, p)),
+                   util::percent(rate(report.scan(), p)), paper_rdns, paper_hitlist});
+  };
+  add_rate_row("ICMP", net::Protocol::kIcmp, "10 %", "6 %");
+  add_rate_row("TCP/80", net::Protocol::kTcp80, "2 %", "3 %");
+  add_rate_row("TCP/443", net::Protocol::kTcp443, "1 %", "2 %");
   std::printf("%s", rates.to_string().c_str());
 
   // Table 8: top-5 rDNS ASes in input / ICMP / TCP80 responsive.
@@ -110,9 +108,11 @@ int main(int argc, char** argv) {
     return text;
   };
   std::vector<ipv6::Address> icmp_resp, tcp_resp;
-  for (const auto& t : rdns_scan.targets) {
-    if (t.responded(net::Protocol::kIcmp)) icmp_resp.push_back(t.address);
-    if (t.responded(net::Protocol::kTcp80)) tcp_resp.push_back(t.address);
+  for (const auto row : rdns_scan.rows()) {
+    const net::ProtocolMask mask = rdns_scan.mask_of_row(row);
+    const ipv6::Address& address = rdns_scan.address_of_row(row);
+    if (net::responds_to(mask, net::Protocol::kIcmp)) icmp_resp.push_back(address);
+    if (net::responds_to(mask, net::Protocol::kTcp80)) tcp_resp.push_back(address);
   }
   std::printf("  input : %s\n", top5(walk.addresses).c_str());
   std::printf("  ICMP  : %s\n", top5(icmp_resp).c_str());

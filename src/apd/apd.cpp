@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
-#include <unordered_map>
 
 #include "obs/obs.h"
 #include "scan/scan_engine.h"
@@ -20,8 +19,7 @@ namespace {
 // The multi-level aggregation of Section 5.2: every hitlist address
 // counts toward its /48../112 aggregates plus its announced prefix
 // (unless that coincides with a fixed level, which must not count the
-// address twice). Shared by the daily full recount and the
-// incremental counter so the two can never drift apart.
+// address twice).
 constexpr std::uint8_t kLevels[] = {48, 64, 96, 112};
 
 template <typename Map>
@@ -43,10 +41,10 @@ void count_address_levels(const Address& a, const netsim::BgpTable& bgp,
 CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
                                    std::size_t min_targets,
                                    engine::Engine* engine)
-    // min_targets 0 behaves like 1: the full recount admits every
-    // *counted* prefix (counts start at 1), and the crossing check
-    // below must agree — a fresh counter entry starts at 0, which
-    // would otherwise read as "already a candidate" and never cross.
+    // min_targets 0 behaves like 1: a candidate must hold at least
+    // one counted address, and a fresh counter entry starts at 0,
+    // which would otherwise read as "already a candidate" and never
+    // cross.
     : bgp_(&bgp),
       min_targets_(std::max<std::size_t>(1, min_targets)),
       engine_(engine) {}
@@ -209,22 +207,6 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   if (obs_ != nullptr) {
     obs_->registry().add(obs_->core().apd_probes, out.probes);
   }
-}
-
-std::vector<Prefix> AliasDetector::candidate_prefixes(
-    const std::vector<Address>& targets) const {
-  std::unordered_map<Prefix, std::size_t, ipv6::PrefixHash> counts;
-  const auto& bgp = sim_->universe().bgp();
-  for (const auto& a : targets) {
-    count_address_levels(a, bgp, counts);
-  }
-  std::vector<Prefix> out;
-  // order_lint: allow(sorted-after: membership filter, out is sorted below)
-  for (const auto& [prefix, count] : counts) {
-    if (count >= options_.min_targets) out.push_back(prefix);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::map<Prefix, unsigned> AliasDetector::verdict_flips() const {

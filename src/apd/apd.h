@@ -13,7 +13,7 @@
 // crossing lists) is a reusable scratch member. A warm APD day — new
 // prefixes included, once table capacity has warmed up — therefore
 // performs zero heap allocations, which tests/test_day_alloc.cpp and
-// the extended tools/noalloc_lint.py roots both enforce.
+// the noalloc policy of tools/symlint.py both enforce.
 
 #include <array>
 #include <cstddef>
@@ -129,11 +129,11 @@ class SlidingVerdict {
 
 /// Persistent multi-level candidate counters for the delta-driven day
 /// loop: instead of re-counting the whole hitlist x 5 levels every
-/// day (AliasDetector::candidate_prefixes), fold in only the day's
-/// new addresses. Counting runs as per-shard hash maps on the engine
-/// workers followed by a serial merge in shard order, so the
-/// candidate set — and therefore every downstream probe — is
-/// byte-identical for any thread count and to the full recount.
+/// day, fold in only the day's new addresses. Counting runs as
+/// per-shard hash maps on the engine workers followed by a serial
+/// merge in shard order, so the candidate set — and therefore every
+/// downstream probe — is byte-identical for any thread count and to
+/// a full recount (the one tests/reference_model.cpp performs daily).
 ///
 /// Thread discipline: the persistent `counts_` map is only touched
 /// by the coordinator's serial merge; workers count into per-shard
@@ -158,9 +158,9 @@ class CandidateCounter {
   const std::vector<ipv6::Prefix>& add_addresses(const ipv6::Address* addrs,
                                                  std::size_t count);
 
-  /// All prefixes holding >= min_targets hitlist addresses, sorted —
-  /// the same set (and order) AliasDetector::candidate_prefixes
-  /// derives from the cumulative hitlist.
+  /// All prefixes holding >= min_targets hitlist addresses, sorted:
+  /// the announced prefix plus the /48, /64, /96 and /112 aggregates
+  /// of every address counted so far.
   const std::vector<ipv6::Prefix>& candidates() const { return candidates_; }
 
   std::size_t tracked_prefixes() const { return counts_.size(); }
@@ -190,7 +190,8 @@ class AliasDetector {
 
   /// Route the fan-out probes through a scan engine (resolve +
   /// probe_resolved) instead of per-probe universe lookups. Null
-  /// restores the legacy direct path; both are byte-identical.
+  /// (the default) probes each fan-out address with NetworkSim::probe;
+  /// both are byte-identical.
   void set_scan_engine(scan::ScanEngine* scan_engine) {
     scan_engine_ = scan_engine;
   }
@@ -226,11 +227,6 @@ class AliasDetector {
     run_day_on_prefixes(prefixes, day, sink, out);
     return out;
   }
-
-  /// Multi-level candidate enumeration from hitlist addresses: the
-  /// announced prefix plus /48../112 aggregates holding enough targets.
-  std::vector<ipv6::Prefix> candidate_prefixes(
-      const std::vector<ipv6::Address>& targets) const;
 
   /// How often each prefix's windowed verdict changed (Table 4),
   /// materialized in sorted order from the flat per-prefix state.

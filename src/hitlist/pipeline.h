@@ -8,16 +8,15 @@
 // addresses into the persistent candidate counters, applies the APD
 // verdict transitions to a persistent alias filter in place, and
 // re-filters only the new rows plus the members of flipped prefixes.
-// PipelineOptions::rebuild_each_day is the legacy escape hatch that
-// recomputes all three from the cumulative hitlist; both paths yield
-// byte-identical DayReport sequences (tests/test_pipeline_incremental).
 //
 // The daily protocol scan and the APD fan-out run on the resolved
 // scan engine: a persistent per-row resolution cache extended by each
 // DayDelta answers every probe without universe lookups.
-// PipelineOptions::legacy_scan keeps the historical per-probe path
-// callable; both scan paths yield byte-identical DayReport sequences
-// and probe counts (tests/test_scan_equivalence.cpp).
+//
+// tests/reference_model.{h,cpp} replays the same campaign naively —
+// full recount, per-probe fan-out, full re-filter, per-probe scan —
+// and tests/test_reference_model.cpp holds every day of this loop to
+// it, field by field.
 //
 // Scan results land in one pipeline-owned scan::ScanFrame reused
 // across days (zero steady-state allocations in the scan path);
@@ -38,7 +37,6 @@
 #include "ipv6/trie.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
-#include "probe/scanner.h"
 #include "scan/probe_schedule.h"
 #include "scan/scan_engine.h"
 #include "scan/scan_frame.h"
@@ -56,17 +54,6 @@ struct PipelineOptions {
   /// all-protocol scan byte-for-byte.
   scan::ProbeSchedule schedule;
   apd::ApdOptions apd;
-  /// Legacy full-rebuild day loop: re-count candidates over the whole
-  /// hitlist, rebuild the alias filter, and re-filter every target
-  /// each day. Output is byte-identical to the incremental default;
-  /// only the per-day cost differs.
-  bool rebuild_each_day = false;
-  /// Legacy unresolved scan path: per-probe universe lookups for the
-  /// daily scan and the APD fan-out instead of the resolved engine.
-  /// Output is byte-identical to the default; only the per-probe cost
-  /// differs (budget and retries need the engine, so only the
-  /// schedule's protocol set applies here).
-  bool legacy_scan = false;
   /// Observability layer (borrowed; may be null = disabled, the
   /// default). When set, run_day wraps every stage in an obs::StageSpan,
   /// feeds the core day-loop counters/gauges, and closes each day with
@@ -91,7 +78,6 @@ struct PipelineOptions {
 class AliasFilter {
  public:
   AliasFilter() = default;
-  explicit AliasFilter(std::vector<ipv6::Prefix> prefixes);
 
   /// Pre-size the sorted membership list and the per-shard tries so
   /// day-loop inserts never grow a container: `max_prefixes` bounds
@@ -118,9 +104,6 @@ class AliasFilter {
   /// same-shard runs via PrefixTrie::longest_match_many and sharded
   /// across the engine workers when one is given. Output order is the
   /// input order for any thread count.
-  void is_aliased_many(const std::vector<ipv6::Address>& in,
-                       std::vector<char>* aliased,
-                       engine::Engine* engine = nullptr) const;
   void is_aliased_many(const ipv6::Address* in, std::size_t count,
                        std::vector<char>* aliased,
                        engine::Engine* engine = nullptr) const;
@@ -149,8 +132,7 @@ class Pipeline {
     std::size_t aliased_prefixes = 0;
     std::size_t scanned_targets = 0;
     /// The day's scan results, borrowed from the pipeline's reusable
-    /// frame: valid until the next run_day overwrites it. Call
-    /// scan().to_report() for an owned probe::ScanReport copy.
+    /// frame: valid until the next run_day overwrites it.
     const scan::ScanFrame* frame = nullptr;
 
     const scan::ScanFrame& scan() const { return *frame; }
@@ -188,14 +170,6 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  // The legacy escape hatches, out of line and noinline on purpose:
-  // they are allowed to allocate (full recount / rebuild / per-probe
-  // scan), so tools/noalloc_lint.py allowlists them by name and the
-  // steady-state graph under run_day stays provably allocation-free.
-  [[gnu::noinline]] std::vector<ipv6::Prefix> rebuild_candidates();
-  [[gnu::noinline]] void rebuild_filter();
-  [[gnu::noinline]] void legacy_scan_day(int day, scan::ResultSink* sink);
-
   const netsim::Universe* universe_;
   PipelineOptions options_;
   engine::Engine* engine_;
@@ -204,14 +178,11 @@ class Pipeline {
   sources::SourceSimulator sources_;
   apd::AliasDetector detector_;
   apd::CandidateCounter counter_;
-  probe::Scanner scanner_;
   scan::ScanEngine scan_engine_;
   TargetStore store_;
   AliasFilter filter_;
   DayDelta delta_;
   scan::ScanFrame frame_;
-  // Reusable list-aligned scratch for the --legacy-scan probe sweep.
-  scan::ScanFrame legacy_scratch_;
   // Per-day transient buffers (see day_scratch.h): coordinator-owned,
   // cleared and refilled once per run_day.
   DayScratch scratch_;

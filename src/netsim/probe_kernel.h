@@ -18,16 +18,17 @@
 // remarks); per-function target clones give AVX2 encodings with a
 // baseline fallback picked at load time.
 //
-// Bit-exact equivalence with the scalar path is load-bearing, not
-// best-effort. Every threshold comparison uses the exact-integer
+// Bit-exact equivalence with the scalar predicate is load-bearing,
+// not best-effort. Every threshold comparison uses the exact-integer
 // identity below (hash_unit < p <=> 53-bit hash < ceil(p * 2^53)),
 // the shared-prefix hash factoring is pure function composition of
 // splitmix64 rounds, and the one genuinely floating-point comparison
 // (the day-dependent QUIC acceptance rate) is computed with the
 // scalar path's exact rounding sequence. tests/test_probe_kernel.cpp
-// asserts mask-for-mask equality across address classes, protocols,
-// days, and seq, and DayReport equality over whole campaigns for
-// seeds x thread counts.
+// asserts mask-for-mask equality with NetworkSim::probe across address
+// classes, protocols, days, seq, and batch shapes, and
+// tests/test_reference_model.cpp holds whole campaigns to a
+// per-probe reference for seeds x thread counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,16 +38,6 @@
 namespace v6h::netsim {
 
 struct ResolvedColumns;
-
-/// Which implementation NetworkSim::probe_resolved_mask runs.
-/// kBranchless is the default; kScalar keeps the reference loop
-/// callable so the equivalence test can compare the two on the same
-/// sim. Selection is coordinator-only (set it before a scan, not
-/// during one).
-enum class ProbeKernel {
-  kScalar,      // reference: per-row resolved_responds, short-circuiting
-  kBranchless,  // tiled gather/compute/scatter, auto-vectorized
-};
 
 /// ZoneProbeParams with the probability thresholds pre-converted to
 /// the 53-bit integer form the branchless loops compare against.
@@ -74,7 +65,7 @@ constexpr std::uint64_t unit_threshold(double p) {
 
 /// The branchless sweep: for each of rows[0..count), OR
 /// mask_of(protocol) into masks[rows[k]] iff the row answers this
-/// (protocol, day, seq) probe — bit-identical to the kScalar loop.
+/// (protocol, day, seq) probe — bit-identical to probe().responded.
 /// `zones` is the NetworkSim's ZoneKernelParams table.
 void probe_mask_branchless(const ResolvedColumns& t,
                            const ZoneKernelParams* zones,

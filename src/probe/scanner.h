@@ -1,102 +1,17 @@
 #pragma once
 
-// The scan layer of Section 6: probe targets across the five
-// protocols and tally per-target response masks.
-//
-// Results live in a reusable scan::ScanFrame (see scan/scan_frame.h);
-// the materialized ScanReport below survives only as the on-demand
-// adapter ScanFrame::to_report() builds for one-shot consumers.
+// The scan layer of Section 6: per-target response masks across the
+// five protocols live in a reusable scan::ScanFrame filled by
+// scan::ScanEngine (see scan/scan_frame.h); this header keeps the
+// consumers that fold those masks into the paper's tables.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "engine/engine.h"
-#include "ipv6/address.h"
 #include "net/protocol.h"
-#include "netsim/network_sim.h"
-
-namespace v6h::scan {
-class ScanFrame;
-class ResultSink;
-}  // namespace v6h::scan
 
 namespace v6h::probe {
-
-struct ScanOptions {
-  std::vector<net::Protocol> protocols{net::kAllProtocols.begin(),
-                                       net::kAllProtocols.end()};
-};
-
-struct TargetResult {
-  ipv6::Address address;
-  net::ProtocolMask responded_mask = 0;
-
-  bool responded(net::Protocol p) const {
-    return net::responds_to(responded_mask, p);
-  }
-  bool responded_any() const { return responded_mask != 0; }
-};
-
-/// Materialized AoS scan result: one owned entry per admitted target
-/// plus the response tallies. Built exclusively by
-/// scan::ScanFrame::to_report() — the tallies are copied from the
-/// frame, never recomputed, so a report can no longer drift from the
-/// scan that produced it.
-struct ScanReport {
-  int day = -1;
-  std::vector<TargetResult> targets;
-  std::array<std::uint64_t, net::kProtocolCount> responsive{};
-  std::uint64_t responsive_any = 0;
-
-  std::size_t responsive_count(net::Protocol p) const {
-    return static_cast<std::size_t>(responsive[net::index_of(p)]);
-  }
-  std::size_t responsive_any_count() const {
-    return static_cast<std::size_t>(responsive_any);
-  }
-};
-
-// Thread discipline: a Scanner holds no mutable state of its own —
-// workers share it freely during a scan because NetworkSim's probe
-// paths are pure in (address, protocol, day, seq) except for the
-// relaxed probes_sent_ counter (see network_sim.h for its invariant).
-class Scanner {
- public:
-  explicit Scanner(netsim::NetworkSim& sim, engine::Engine* engine = nullptr)
-      : sim_(&sim), engine_(engine) {}
-
-  netsim::ProbeResult probe_once(const ipv6::Address& a, net::Protocol p, int day) {
-    return sim_->probe(a, p, day, 0);
-  }
-
-  /// Scan every target across the protocol set into `frame`, routed
-  /// through the resolved batch path (scan::ScanEngine): each target
-  /// is resolved once and its per-protocol probes answer from the
-  /// cached record. Streams rows through `sink` when given.
-  /// Byte-identical to scan_legacy for any thread count.
-  void scan(const std::vector<ipv6::Address>& targets, int day,
-            const ScanOptions& options, scan::ScanFrame* frame,
-            scan::ResultSink* sink = nullptr);
-
-  /// Adapter form for one-shot callers: same scan, materialized via
-  /// ScanFrame::to_report().
-  ScanReport scan(const std::vector<ipv6::Address>& targets, int day,
-                  const ScanOptions& options = {});
-
-  /// The historical unresolved path: every probe re-resolves the
-  /// target through the universe. Kept callable as the equivalence
-  /// baseline for the scan engine (tests/test_scan_engine.cpp) and as
-  /// the perf reference bench_fig8_longitudinal times it against.
-  void scan_legacy(const std::vector<ipv6::Address>& targets, int day,
-                   const ScanOptions& options, scan::ScanFrame* frame);
-  ScanReport scan_legacy(const std::vector<ipv6::Address>& targets, int day,
-                         const ScanOptions& options = {});
-
- private:
-  netsim::NetworkSim* sim_;
-  engine::Engine* engine_;
-};
 
 /// Figure 7's streaming cross-protocol tally: feed each admitted
 /// target's response mask (e.g. from ResultSink::on_target) and read

@@ -11,9 +11,9 @@
 // reusable ScanFrame (zero steady-state allocations; see
 // scan/scan_frame.h) and stream through an optional ResultSink. A
 // ProbeSchedule picks protocols, probe budget, retry policy, and
-// interleave; the default schedule is byte-identical to the legacy
-// Scanner::scan_legacy path for any thread count
-// (tests/test_scan_equivalence.cpp).
+// interleave; under the default schedule every mask equals a
+// per-address NetworkSim::probe loop for any thread count
+// (tests/test_scan_engine.cpp, tests/test_reference_model.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -65,8 +65,7 @@ class ScanEngine {
 
   /// Scan an ad-hoc address list through a transient resolution (each
   /// target resolved once, probed protocols.size() x attempts times).
-  /// Frame rows are input-list positions. This is what Scanner::scan
-  /// routes through.
+  /// Frame rows are input-list positions.
   void scan_addresses(const std::vector<ipv6::Address>& targets, int day,
                       const ProbeSchedule& schedule, ScanFrame* frame,
                       ResultSink* sink = nullptr);

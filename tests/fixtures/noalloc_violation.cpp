@@ -1,6 +1,6 @@
-// Negative fixture for tools/noalloc_lint.py: a deliberately
-// allocating call graph shaped like the hot path, proving the lint
-// bites. fixture_hot_path() allocates through a helper whose name is
+// Negative fixture for tools/symlint.py --policy noalloc: a
+// deliberately allocating call graph shaped like the hot path, proving
+// the lint bites. fixture_hot_path() allocates through a helper whose name is
 // adjacent to the allowlisted `std::vector<...>::reserve` pattern —
 // if the allowlist regexes ever loosen from "std::vector's own
 // methods" to "anything called reserve", the noalloc_lint_negative

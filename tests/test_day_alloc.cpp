@@ -8,8 +8,8 @@
 // checked window: verdict application is the most tempting place to
 // allocate, so a window without flips would prove nothing about it.
 //
-// Static complement: tools/noalloc_lint.py walks the machine-code
-// call graph from Pipeline::run_day and the stage entry points and
+// Static complement: tools/symlint.py --policy noalloc walks the
+// machine-code call graph from Pipeline::run_day and the stage entry points and
 // proves no allocation route exists outside the capacity-elastic
 // allowlist; this test proves those elastic routes actually go quiet.
 

@@ -4,15 +4,15 @@
 // islands, honest hosts, dead discoverable addresses, rotating
 // privacy addresses across epoch boundaries, and unrouted space — for
 // all protocols, several days, and several seq values. Also covers
-// the ScanEngine address-scan against Scanner::scan_legacy, and the
-// ProbeSchedule budget/retry scenarios.
+// the ScanEngine address-scan against a per-address probe() loop, and
+// the ProbeSchedule budget/retry scenarios.
 
+#include <array>
 #include <vector>
 
 #include "engine/engine.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
-#include "probe/scanner.h"
 #include "scan/probe_schedule.h"
 #include "scan/resolved_table.h"
 #include "scan/scan_engine.h"
@@ -139,41 +139,50 @@ void run_scan_equivalence(const std::vector<unsigned>& thread_counts) {
   const int day = 42;
   std::vector<ipv6::Address> targets = probe_targets(universe, day);
 
+  // Baseline: every target x protocol through the per-address path.
   netsim::NetworkSim reference_sim(universe);
-  probe::Scanner reference(reference_sim);
-  const auto baseline = reference.scan_legacy(targets, day);
-  const std::uint64_t baseline_probes = reference_sim.probes_sent();
+  std::vector<net::ProtocolMask> baseline(targets.size(), 0);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    for (const auto protocol : net::kAllProtocols) {
+      if (reference_sim.probe(targets[i], protocol, day, 0).responded) {
+        baseline[i] |= net::mask_of(protocol);
+      }
+    }
+  }
+  std::size_t baseline_any = 0;
+  std::array<std::size_t, net::kProtocolCount> baseline_count{};
+  for (const auto mask : baseline) {
+    baseline_any += mask != 0;
+    for (const auto protocol : net::kAllProtocols) {
+      baseline_count[net::index_of(protocol)] += net::responds_to(mask, protocol);
+    }
+  }
+  CHECK(baseline_any > 0);
 
   for (const unsigned threads : thread_counts) {
     engine::EngineOptions engine_options;
     engine_options.threads = threads;
     engine::Engine eng(engine_options);
     netsim::NetworkSim sim(universe);
-    probe::Scanner scanner(sim, &eng);
-    for (const bool legacy : {false, true}) {
-      const auto report = legacy ? scanner.scan_legacy(targets, day)
-                                 : scanner.scan(targets, day);
-      CHECK_EQ(report.targets.size(), baseline.targets.size());
-      std::size_t diff = 0;
-      for (std::size_t i = 0; i < report.targets.size(); ++i) {
-        diff += report.targets[i].address != baseline.targets[i].address;
-        diff += report.targets[i].responded_mask !=
-                baseline.targets[i].responded_mask;
-      }
-      CHECK_EQ(diff, 0u);
-      CHECK_EQ(report.responsive_any_count(), baseline.responsive_any_count());
-      for (const auto protocol : net::kAllProtocols) {
-        CHECK_EQ(report.responsive_count(protocol),
-                 baseline.responsive_count(protocol));
-      }
+    scan::ScanEngine scan_engine(sim, &eng);
+    scan::ScanFrame frame;
+    scan_engine.scan_addresses(targets, day, {}, &frame);
+    CHECK_EQ(frame.rows().size(), targets.size());
+    std::size_t diff = 0;
+    for (std::size_t k = 0; k < frame.rows().size(); ++k) {
+      const std::uint32_t row = frame.rows()[k];
+      diff += row != k;
+      diff += frame.address_of_row(row) != targets[k];
+      diff += frame.mask_of_row(row) != baseline[k];
     }
-    CHECK_EQ(sim.probes_sent(), 2 * baseline_probes);
+    CHECK_EQ(diff, 0u);
+    CHECK_EQ(frame.responsive_any_count(), baseline_any);
+    for (const auto protocol : net::kAllProtocols) {
+      CHECK_EQ(frame.responsive_count(protocol),
+               baseline_count[net::index_of(protocol)]);
+    }
+    CHECK_EQ(sim.probes_sent(), reference_sim.probes_sent());
   }
-
-  // Tallies must agree with a hand recount.
-  std::size_t any = 0;
-  for (const auto& t : baseline.targets) any += t.responded_any();
-  CHECK_EQ(baseline.responsive_any_count(), any);
 }
 
 void run_schedule_scenarios() {
@@ -195,7 +204,6 @@ void run_schedule_scenarios() {
     engine.scan_addresses(targets, day, schedule, &frame);
     CHECK_EQ(frame.rows().size(), 40u);
     CHECK_EQ(frame.row_count(), targets.size());
-    CHECK_EQ(frame.to_report().targets.size(), 40u);
     CHECK(sim.probes_sent() <= schedule.daily_probe_budget);
     CHECK_EQ(schedule.admitted_targets(10), 10u);
     scan::ProbeSchedule unlimited;
@@ -210,24 +218,26 @@ void run_schedule_scenarios() {
     scan::ScanEngine engine(sim);
     scan::ProbeSchedule plain;
     scan::ScanFrame frame;
+    auto masks_of = [](const scan::ScanFrame& f) {
+      return std::vector<net::ProtocolMask>(f.masks(), f.masks() + f.row_count());
+    };
     engine.scan_addresses(targets, day, plain, &frame);
-    const auto base = frame.to_report();
+    const auto base = masks_of(frame);
+    const std::size_t base_any = frame.responsive_any_count();
     scan::ProbeSchedule retrying;
     retrying.retries = 2;
     engine.scan_addresses(targets, day, retrying, &frame);
-    const auto retried = frame.to_report();
+    const auto retried = masks_of(frame);
+    CHECK(frame.responsive_any_count() >= base_any);
     scan::ProbeSchedule target_major = retrying;
     target_major.interleave = scan::ProbeSchedule::Interleave::kTargetMajor;
     engine.scan_addresses(targets, day, target_major, &frame);
-    const auto by_target = frame.to_report();
-    CHECK(retried.responsive_any_count() >= base.responsive_any_count());
+    const auto by_target = masks_of(frame);
     std::size_t lost = 0;
     std::size_t interleave_diff = 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      lost += (base.targets[i].responded_mask &
-               ~retried.targets[i].responded_mask) != 0;
-      interleave_diff +=
-          retried.targets[i].responded_mask != by_target.targets[i].responded_mask;
+      lost += (base[i] & ~retried[i]) != 0;
+      interleave_diff += retried[i] != by_target[i];
     }
     CHECK_EQ(lost, 0u);
     CHECK_EQ(interleave_diff, 0u);

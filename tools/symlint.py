@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Multi-policy static symbol lint over the machine-code call graph.
 
-One engine, several *policies*. PR 6 introduced a single-purpose lint
-(tools/noalloc_lint.py) proving the steady-state scan path reaches no
+One engine, several *policies*. The noalloc policy began as a
+single-purpose lint proving the steady-state scan path reaches no
 allocator; this module factors its objdump call-graph walker into a
 reusable engine and turns "which leaf symbols are forbidden from which
 roots, and which nodes are cut from the walk" into declarative policy
@@ -13,8 +13,8 @@ reader load — is thereby proven on every build along four axes:
 
   noalloc          the warm day loop reaches no operator new / malloc
                    outside the named capacity-elastic growth members
-                   (the PR 6 policy, unchanged; tools/noalloc_lint.py
-                   remains as a thin CLI wrapper).
+                   (the `noalloc_lint` / `noalloc_lint_negative`
+                   ctests run it as `symlint.py --policy noalloc`).
   nodeterminism    the day loop reaches no wall clock, no entropy
                    source, no environment read, no locale machinery —
                    nothing whose value varies across runs, hosts, or
