@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "obs/obs.h"
-#include "scan/scan_engine.h"
 #include "scan/scan_frame.h"
 #include "util/rng.h"
 
@@ -37,6 +36,18 @@ void count_address_levels(const Address& a, const netsim::BgpTable& bgp,
 }
 
 }  // namespace
+
+AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
+  // The paper's per-day pseudo-random fan-out: nybble n's salt is a
+  // function of (day, n) only, so one day's 16 seeds serve every
+  // prefix probed that day.
+  FanoutSeeds seeds;
+  for (unsigned nybble = 0; nybble < 16; ++nybble) {
+    seeds[nybble] =
+        Prefix::fanout_seed(nybble, util::hash64(day, nybble, 0xA9D));
+  }
+  return seeds;
+}
 
 CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
                                    std::size_t min_targets,
@@ -130,25 +141,19 @@ void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
 }
 
 PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
+  return probe_seeded(prefix, day, fanout_seeds(day));
+}
+
+PrefixOutcome AliasDetector::probe_seeded(const Prefix& prefix, int day,
+                                          const FanoutSeeds& seeds) {
   PrefixOutcome outcome;
   outcome.prefix = prefix;
   std::array<Address, 16> fanout;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    fanout[nybble] = prefix.fanout_address(nybble, util::hash64(day, nybble, 0xA9D));
+    fanout[nybble] = prefix.fanout_address_seeded(nybble, seeds[nybble]);
   }
-  if (scan_engine_ != nullptr) {
-    // Fan-out addresses are salted per day, so the engine resolves
-    // them transiently — same probes, same responses, no per-probe
-    // universe lookups beyond the one resolution each.
-    outcome.responded = scan_engine_->probe_fanout(fanout.data(), fanout.size(),
-                                                   options_.protocol, day,
-                                                   /*first_seq=*/0);
-  } else {
-    for (unsigned nybble = 0; nybble < 16; ++nybble) {
-      outcome.responded +=
-          sim_->probe(fanout[nybble], options_.protocol, day, nybble).responded;
-    }
-  }
+  outcome.responded = sim_->probe_fanout(prefix, fanout.data(), fanout.size(),
+                                         options_.protocol, day);
   outcome.aliased = outcome.responded == 16;
   return outcome;
 }
@@ -164,6 +169,8 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   const std::size_t n = prefixes.size();
   outcomes_.clear();
   outcomes_.resize(n);
+  // Computed before dispatch; workers only read it.
+  const FanoutSeeds seeds = fanout_seeds(day);
   if (engine_ != nullptr && engine_->parallel()) {
     // Batch per top-bits shard: each worker chunk probes one region of
     // the address space; outcomes are index-addressed, so the merge
@@ -174,12 +181,12 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
     engine_->parallel_for(n, 4, [&](std::size_t begin, std::size_t end) {
       for (std::size_t k = begin; k < end; ++k) {
         const std::size_t i = partition_.order[k];
-        outcomes_[i] = probe_prefix(prefixes[i], day);
+        outcomes_[i] = probe_seeded(prefixes[i], day, seeds);
       }
     });
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      outcomes_[i] = probe_prefix(prefixes[i], day);
+      outcomes_[i] = probe_seeded(prefixes[i], day, seeds);
     }
   }
   // Deterministic merge: windows update serially in input order.

@@ -188,13 +188,11 @@ class AliasDetector {
   explicit AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options = {},
                          engine::Engine* engine = nullptr);
 
-  /// Route the fan-out probes through a scan engine (resolve +
-  /// probe_resolved) instead of per-probe universe lookups. Null
-  /// (the default) probes each fan-out address with NetworkSim::probe;
-  /// both are byte-identical.
-  void set_scan_engine(scan::ScanEngine* scan_engine) {
-    scan_engine_ = scan_engine;
-  }
+  /// No-op, kept for source compatibility: the fan-out always runs
+  /// through NetworkSim::probe_fanout (one zone-trie walk per prefix,
+  /// predicate-only probes), so there is no scan-engine route left to
+  /// select.
+  void set_scan_engine(scan::ScanEngine* /*scan_engine*/) {}
 
   /// Attach (or detach with nullptr) the observability layer: each
   /// run_day_on_prefixes batch gets an "apd_fanout" stage span and
@@ -206,6 +204,8 @@ class AliasDetector {
   /// contract; see CandidateCounter::reserve_for).
   void reserve_prefixes(std::size_t max_prefixes);
 
+  /// Probe the 16 fan-out addresses of `prefix` at `day`: one
+  /// pseudo-random address under each nybble branch, seq = nybble.
   PrefixOutcome probe_prefix(const ipv6::Prefix& prefix, int day);
 
   /// One APD day over a candidate batch: probe (sharded across the
@@ -238,6 +238,13 @@ class AliasDetector {
   const ApdOptions& options() const { return options_; }
 
  private:
+  // fanout_seed(n, salt of (day, n)) for the 16 nybbles: the part of
+  // every fan-out address that depends on the day alone.
+  using FanoutSeeds = std::array<std::uint64_t, 16>;
+  static FanoutSeeds fanout_seeds(int day);
+  PrefixOutcome probe_seeded(const ipv6::Prefix& prefix, int day,
+                             const FanoutSeeds& seeds);
+
   // Sliding window plus its Table-4 flip counter, stored inline in
   // the flat table (the separate std::map<Prefix, unsigned> it
   // replaces allocated a node per first flip).
@@ -249,7 +256,6 @@ class AliasDetector {
   netsim::NetworkSim* sim_;
   ApdOptions options_;
   engine::Engine* engine_;
-  scan::ScanEngine* scan_engine_ = nullptr;
   obs::Observability* obs_ = nullptr;
   util::FlatMap<ipv6::Prefix, VerdictState, ipv6::PrefixHash> state_;
   // Per-day scratch, reused across calls. Workers write disjoint

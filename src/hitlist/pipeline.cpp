@@ -84,7 +84,6 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
       detector_(sim, options_.apd, engine),
       counter_(universe.bgp(), options_.apd.min_targets, engine),
       scan_engine_(sim, engine) {
-  detector_.set_scan_engine(&scan_engine_);
   // Stage-level instrumentation inside the scan engine and the APD
   // fan-out; registry storage was allocated when the Observability
   // was constructed, so attaching it here allocates nothing.

@@ -32,6 +32,13 @@ class Prefix {
   /// (Section 5.1's 16-way fan-out).
   Address fanout_address(unsigned nybble, std::uint64_t salt) const;
 
+  /// fanout_address split in two: the seed depends only on (nybble,
+  /// salt), so a caller probing many prefixes with the same salts
+  /// computes the seeds once. fanout_address(n, salt) ==
+  /// fanout_address_seeded(n, fanout_seed(n, salt)).
+  static std::uint64_t fanout_seed(unsigned nybble, std::uint64_t salt);
+  Address fanout_address_seeded(unsigned nybble, std::uint64_t seed) const;
+
   /// Uniform pseudo-random address inside the prefix.
   Address random_address(std::uint64_t seed) const;
 

@@ -73,19 +73,55 @@ class PrefixTrie {
     return true;
   }
 
-  /// Value of the most specific prefix containing `a`, or nullptr.
-  const T* longest_match(const Address& a) const {
+  /// A position part-way down the trie, for many lookups under one
+  /// prefix: the node seek() stopped at, its depth, and the best
+  /// value on the path down to it. node < 0 means the walk cannot go
+  /// deeper, so `best` already answers every address under the
+  /// prefix. Valid until the next insert or erase.
+  struct Cursor {
+    std::int32_t node = -1;
     std::int32_t best = -1;
-    std::size_t node = 0;
-    for (unsigned depth = 0; depth <= 128; ++depth) {
-      if (nodes_[node].value >= 0) best = nodes_[node].value;
-      if (depth == 128) break;
-      const unsigned bit = a.bit(depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[bit];
-      if (next < 0) break;
-      node = static_cast<std::size_t>(next);
+    unsigned depth = 0;
+  };
+
+  /// Walk once toward `prefix`. The walk stops early where the trie
+  /// has no deeper node on the prefix's path, and marks the cursor
+  /// final when the node it reaches has no children.
+  Cursor seek(const Prefix& prefix) const {
+    Cursor at;
+    std::int32_t node = 0;
+    for (unsigned depth = 0;; ++depth) {
+      const Node& n = nodes_[static_cast<std::size_t>(node)];
+      if (n.value >= 0) at.best = n.value;
+      if (depth == prefix.length()) {
+        if (n.child[0] >= 0 || n.child[1] >= 0) {
+          at.node = node;
+          at.depth = depth;
+        }
+        return at;
+      }
+      node = n.child[prefix.address().bit(depth) ? 1 : 0];
+      if (node < 0) return at;  // nothing stored below this depth
+    }
+  }
+
+  /// longest_match(a) for an `a` inside the prefix `from` was seeked
+  /// to: continues the walk from the cursor instead of the root.
+  const T* longest_match_from(const Cursor& from, const Address& a) const {
+    std::int32_t best = from.best;
+    std::int32_t node = from.node;
+    for (unsigned depth = from.depth; node >= 0 && depth < 128; ++depth) {
+      node = nodes_[static_cast<std::size_t>(node)].child[a.bit(depth) ? 1 : 0];
+      if (node >= 0 && nodes_[static_cast<std::size_t>(node)].value >= 0) {
+        best = nodes_[static_cast<std::size_t>(node)].value;
+      }
     }
     return best < 0 ? nullptr : &values_[static_cast<std::size_t>(best)];
+  }
+
+  /// Value of the most specific prefix containing `a`, or nullptr.
+  const T* longest_match(const Address& a) const {
+    return longest_match_from(seek(Prefix()), a);
   }
 
   /// Batched longest_match over a contiguous address array:

@@ -87,6 +87,44 @@ net::ProtocolMask host_service_mask(const Zone& zone, std::uint32_t slot) {
   return mask;
 }
 
+// Position of `zone` in universe.zones(), which indexes zone_params_.
+std::uint32_t zone_index(const Universe& universe, const Zone& zone) {
+  return static_cast<std::uint32_t>(&zone - universe.zones().data());
+}
+
+// Aliased space minus the zone's honest carve-out, if any.
+bool aliased_at(const ZoneConfig& config, const Address& a) {
+  return config.aliased && !(config.carveout && config.carveout->contains(a));
+}
+
+// The full machine image of a responding address: aliased addresses
+// (keyed by `addr_hash`) or a live honest host `slot`. Shared by
+// resolve() and probe(), so the cached and per-call images are the
+// same code.
+void fill_image(const Zone& zone, bool aliased, std::uint32_t slot,
+                std::uint64_t addr_hash, ResolvedTarget* out) {
+  const ZoneConfig& config = zone.config();
+  const bool timestamps = config.uniformity != UniformityMode::kUniformNoTs;
+  unsigned hops = 6 + static_cast<unsigned>(hash64(zone.key(), 0xB0) % 18);
+  if (aliased) {
+    fill_machine_image(zone.key(), timestamps, out);
+    if (config.proxy_wsize) {
+      // A TCP proxy terminates each flow with its own window.
+      out->wsize = static_cast<std::uint16_t>(
+          14600 + 1460 * (hash64(addr_hash, 0x90) % 8));
+    }
+    // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
+    // inconsistency the iTTL normalization removes).
+    if (hash_unit(zone.key(), 0xB1) < 0.3 && (addr_hash & 1) != 0) ++hops;
+  } else {
+    const bool uniform = config.uniformity != UniformityMode::kDiverse;
+    fill_machine_image(uniform ? zone.key() : hash64(zone.key(), slot, 0x3A),
+                       timestamps, out);
+    if (!uniform) hops += static_cast<unsigned>(hash64(zone.key(), slot, 0xB2) % 3);
+  }
+  out->ttl = static_cast<std::uint8_t>(out->ittl - hops);
+}
+
 // The day/seq-dependent half of probe(): does a resolved row answer
 // this particular probe? The caller has already checked the service
 // mask, so `zp` is valid and the row is aliased or a live slot.
@@ -117,6 +155,40 @@ bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
     }
   }
   return true;
+}
+
+// What the response predicate learned about one address: whether it
+// answers, plus what probe() needs to fill the machine image.
+struct Answer {
+  bool responded = false;
+  bool aliased = false;
+  std::uint32_t slot = 0;       // live host slot (honest space)
+  std::uint64_t addr_hash = 0;  // aliased space only
+};
+
+// The response predicate shared by probe() and probe_fanout(): does
+// `a`, which lies in `zone` (probe parameters `zp`), answer `protocol`
+// at (day, seq)? Runs the carve-out test, slot inversion, service mask
+// and the day/seq-dependent loss and availability rolls.
+inline Answer answer(const Zone& zone, const ZoneProbeParams& zp,
+                     const Address& a, net::Protocol protocol, int day,
+                     unsigned seq) {
+  Answer out;
+  const ZoneConfig& config = zone.config();
+  if (aliased_at(config, a)) {
+    out.aliased = true;
+    out.addr_hash = hash64(a.hi, a.lo, 0xAD);
+    out.responded = net::responds_to(config.machine_service, protocol) &&
+                    resolved_responds(zp, ResolvedTarget::kAliased, 0,
+                                      out.addr_hash, protocol, day, seq);
+    return out;
+  }
+  const auto slot = zone.slot_of(a, day);
+  if (!slot || *slot >= config.host_count) return out;
+  out.slot = *slot;
+  out.responded = net::responds_to(host_service_mask(zone, *slot), protocol) &&
+                  resolved_responds(zp, 0, *slot, 0, protocol, day, seq);
+  return out;
 }
 
 ZoneProbeParams params_of(const Zone& zone) {
@@ -157,26 +229,11 @@ ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   r.addr_hash = hash64(a.hi, a.lo, 0xAD);
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return r;  // unrouted: service_mask 0, never answers
-  r.zone = static_cast<std::uint32_t>(zone - universe_->zones().data());
-  const ZoneConfig& config = zone->config();
-
-  const bool aliased_here =
-      config.aliased && !(config.carveout && config.carveout->contains(a));
-  if (aliased_here) {
+  r.zone = zone_index(*universe_, *zone);
+  if (aliased_at(zone->config(), a)) {
     r.flags |= ResolvedTarget::kAliased;
-    r.service_mask = config.machine_service;
-    fill_machine_image(zone->key(),
-                       config.uniformity != UniformityMode::kUniformNoTs, &r);
-    if (config.proxy_wsize) {
-      // A TCP proxy terminates each flow with its own window.
-      r.wsize = static_cast<std::uint16_t>(
-          14600 + 1460 * (hash64(r.addr_hash, 0x90) % 8));
-    }
-    // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
-    // inconsistency the iTTL normalization removes).
-    unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-    if (hash_unit(zone->key(), 0xB1) < 0.3 && (r.addr_hash & 1) != 0) ++hops;
-    r.ttl = static_cast<std::uint8_t>(r.ittl - hops);
+    r.service_mask = zone->config().machine_service;
+    fill_image(*zone, /*aliased=*/true, 0, r.addr_hash, &r);
     return r;
   }
 
@@ -184,85 +241,50 @@ ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   // slot_of (aliased zones never invert) exactly like probe() does.
   r.epoch = zone->epoch(day);
   const auto slot = zone->slot_of(a, day);
-  if (!slot || *slot >= config.host_count) return r;  // dead address
+  if (!slot || *slot >= zone->config().host_count) return r;  // dead address
   r.flags |= ResolvedTarget::kLiveSlot;
   r.slot = *slot;
   r.service_mask = host_service_mask(*zone, *slot);
-  const bool uniform = config.uniformity != UniformityMode::kDiverse;
-  const std::uint64_t machine =
-      uniform ? zone->key() : hash64(zone->key(), *slot, 0x3A);
-  fill_machine_image(machine, config.uniformity != UniformityMode::kUniformNoTs,
-                     &r);
-  unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-  if (!uniform) hops += static_cast<unsigned>(hash64(zone->key(), *slot, 0xB2) % 3);
-  r.ttl = static_cast<std::uint8_t>(r.ittl - hops);
+  fill_image(*zone, /*aliased=*/false, *slot, 0, &r);
   return r;
 }
 
 ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
                               unsigned seq) {
   // The reference path: re-derive everything per call, filling the
-  // machine image only after the probe is known to answer (the
-  // historical cost profile the resolved path is benchmarked
-  // against). The predicates and the image generator are shared with
-  // resolve()/probe_resolved, so the two paths cannot drift apart.
-  // All probes_sent_ updates are relaxed: pure count, no data
-  // published through it (invariant at the declaration).
+  // machine image only after the probe is known to answer. The
+  // predicate is shared with probe_fanout(), the image with resolve(),
+  // and the day/seq rolls with probe_resolved, so the paths cannot
+  // drift apart. All probes_sent_ updates are relaxed: pure count, no
+  // data published through it (invariant at the declaration).
   probes_sent_.fetch_add(1, std::memory_order_relaxed);
   ProbeResult out;
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return out;
-  const ZoneConfig& config = zone->config();
-  const std::uint64_t addr_hash = hash64(a.hi, a.lo, 0xAD);
-  const std::uint64_t t = probe_time(day, seq);
-  const ZoneProbeParams& zp =
-      zone_params_[static_cast<std::size_t>(zone - universe_->zones().data())];
-
-  const bool aliased_here =
-      config.aliased && !(config.carveout && config.carveout->contains(a));
-  if (aliased_here) {
-    if (!net::responds_to(config.machine_service, protocol)) return out;
-    if (!resolved_responds(zp, ResolvedTarget::kAliased, 0, addr_hash, protocol,
-                           day, seq)) {
-      return out;
-    }
-    out.responded = true;
-    ResolvedTarget image;
-    fill_machine_image(zone->key(),
-                       config.uniformity != UniformityMode::kUniformNoTs,
-                       &image);
-    if (config.proxy_wsize) {
-      // A TCP proxy terminates each flow with its own window.
-      image.wsize = static_cast<std::uint16_t>(
-          14600 + 1460 * (hash64(addr_hash, 0x90) % 8));
-    }
-    // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
-    // inconsistency the iTTL normalization removes).
-    unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-    if (hash_unit(zone->key(), 0xB1) < 0.3 && (addr_hash & 1) != 0) ++hops;
-    image.ttl = static_cast<std::uint8_t>(image.ittl - hops);
-    emit_machine(image, t, &out);
-    return out;
-  }
-
-  const auto slot = zone->slot_of(a, day);
-  if (!slot || *slot >= config.host_count) return out;
-  if (!net::responds_to(host_service_mask(*zone, *slot), protocol)) return out;
-  if (!resolved_responds(zp, 0, *slot, addr_hash, protocol, day, seq)) {
-    return out;
-  }
+  const Answer hit = answer(*zone, zone_params_[zone_index(*universe_, *zone)],
+                            a, protocol, day, seq);
+  if (!hit.responded) return out;
   out.responded = true;
-  const bool uniform = config.uniformity != UniformityMode::kDiverse;
-  const std::uint64_t machine =
-      uniform ? zone->key() : hash64(zone->key(), *slot, 0x3A);
   ResolvedTarget image;
-  fill_machine_image(machine, config.uniformity != UniformityMode::kUniformNoTs,
-                     &image);
-  unsigned hops = 6 + static_cast<unsigned>(hash64(zone->key(), 0xB0) % 18);
-  if (!uniform) hops += static_cast<unsigned>(hash64(zone->key(), *slot, 0xB2) % 3);
-  image.ttl = static_cast<std::uint8_t>(image.ittl - hops);
-  emit_machine(image, t, &out);
+  fill_image(*zone, hit.aliased, hit.slot, hit.addr_hash, &image);
+  emit_machine(image, probe_time(day, seq), &out);
   return out;
+}
+
+unsigned NetworkSim::probe_fanout(const ipv6::Prefix& prefix,
+                                  const Address* addrs, std::size_t count,
+                                  net::Protocol protocol, int day) {
+  probes_sent_.fetch_add(count, std::memory_order_relaxed);
+  const Universe::ZoneCursor cursor = universe_->zone_cursor(prefix);
+  unsigned responded = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Zone* zone = universe_->zone_at(cursor, addrs[i]);
+    if (zone == nullptr) continue;
+    responded += answer(*zone, zone_params_[zone_index(*universe_, *zone)],
+                        addrs[i], protocol, day, static_cast<unsigned>(i))
+                     .responded;
+  }
+  return responded;
 }
 
 ProbeResult NetworkSim::probe_resolved(const ResolvedTarget& r,

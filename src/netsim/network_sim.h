@@ -4,22 +4,27 @@
 // fingerprint surface (iTTL, options, wscale, MSS, wsize, timestamps)
 // the alias-resolution analyses of Section 5.4 need.
 //
-// Two probe paths share one response function:
+// Three probe paths share one response predicate:
 //  - probe(): resolve the target through the universe (zone trie, slot
 //    inversion, service mask, machine image) on every call — the
-//    historical reference path.
+//    per-address reference path.
 //  - resolve() + probe_resolved(): hoist everything that is immutable
 //    per address (per rotation epoch) into a ResolvedTarget record
 //    once, then answer each probe from the cached record plus the few
 //    genuinely day/seq-dependent hashes. Byte-identical to probe() by
 //    construction (tests/test_scan_engine.cpp), and the substrate of
 //    the scan::ScanEngine batch hot path.
+//  - probe_fanout(): the alias detector's 16 probes under one prefix.
+//    One zone-trie walk to the prefix serves every address, and each
+//    probe evaluates only the response predicate (no machine image).
+//    Its responder count equals a probe() loop with seq = 0..15.
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "ipv6/address.h"
+#include "ipv6/prefix.h"
 #include "net/protocol.h"
 #include "netsim/probe_kernel.h"
 #include "netsim/universe.h"
@@ -120,6 +125,14 @@ class NetworkSim {
   /// see the invariant comment at probes_sent_).
   ProbeResult probe(const ipv6::Address& a, net::Protocol protocol, int day,
                     unsigned seq = 0);
+
+  /// APD fan-out: probe addrs[0..count), all inside `prefix`, with
+  /// seq = i for addrs[i], and return how many responded — the
+  /// responded bits of probe(addrs[i], protocol, day, i), summed.
+  /// Counts `count` probes sent. The zone trie is walked to `prefix`
+  /// once; each address then costs only the levels below it.
+  unsigned probe_fanout(const ipv6::Prefix& prefix, const ipv6::Address* addrs,
+                        std::size_t count, net::Protocol protocol, int day);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probes for any (day, seq) whose

@@ -150,6 +150,19 @@ class Universe {
 
   const Zone* zone_at(const ipv6::Address& a) const;
 
+  /// Zone lookups under one prefix: zone_cursor(prefix) walks the
+  /// zone trie to the prefix once, and zone_at(cursor, a) equals
+  /// zone_at(a) for any `a` inside that prefix, walking only the
+  /// levels below it (none when no zone is nested under the prefix).
+  using ZoneCursor = ipv6::PrefixTrie<std::uint32_t>::Cursor;
+  ZoneCursor zone_cursor(const ipv6::Prefix& prefix) const {
+    return zone_trie_.seek(prefix);
+  }
+  const Zone* zone_at(const ZoneCursor& cursor, const ipv6::Address& a) const {
+    const std::uint32_t* index = zone_trie_.longest_match_from(cursor, a);
+    return index == nullptr ? nullptr : &zones_[*index];
+  }
+
   const std::vector<ipv6::Prefix>& true_aliased_prefixes() const {
     return aliased_prefixes_;
   }

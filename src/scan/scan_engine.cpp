@@ -125,17 +125,4 @@ void ScanEngine::scan_addresses(const std::vector<Address>& targets, int day,
   run_scan(*sim_, engine_, obs_, table.columns(), day, schedule, frame, sink);
 }
 
-unsigned ScanEngine::probe_fanout(const Address* addrs, std::size_t count,
-                                  net::Protocol protocol, int day,
-                                  unsigned first_seq) {
-  unsigned responded = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto r = sim_->resolve(addrs[i], day);
-    responded += sim_->probe_resolved(r, protocol, day,
-                                      first_seq + static_cast<unsigned>(i))
-                     .responded;
-  }
-  return responded;
-}
-
 }  // namespace v6h::scan

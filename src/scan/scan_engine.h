@@ -1,7 +1,9 @@
 #pragma once
 
-// The resolved-target scan engine: the daily full-hitlist scan and
-// the APD probe fan-out, rebuilt on top of cached probe routing.
+// The resolved-target scan engine: the daily full-hitlist scan,
+// rebuilt on top of cached probe routing. (The APD fan-out probes
+// fresh addresses every day, so it has nothing to cache and runs
+// through netsim::NetworkSim::probe_fanout instead.)
 //
 // A ScanEngine owns a ResolvedTargetTable aligned with the pipeline's
 // TargetStore rows. Each day it extends the table by the day's new
@@ -69,14 +71,6 @@ class ScanEngine {
   void scan_addresses(const std::vector<ipv6::Address>& targets, int day,
                       const ProbeSchedule& schedule, ScanFrame* frame,
                       ResultSink* sink = nullptr);
-
-  /// APD fan-out batch: resolve-and-probe addrs[0..count) with
-  /// seq = first_seq + i, returning how many responded. Fan-out
-  /// addresses are salted per day, so there is nothing to cache
-  /// across days — this is the routed (resolve + probe_resolved)
-  /// form of the detector's probe loop, byte-identical to it.
-  unsigned probe_fanout(const ipv6::Address* addrs, std::size_t count,
-                        net::Protocol protocol, int day, unsigned first_seq);
 
   const ResolvedTargetTable& table() const { return table_; }
 

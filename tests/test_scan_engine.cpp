@@ -4,12 +4,15 @@
 // islands, honest hosts, dead discoverable addresses, rotating
 // privacy addresses across epoch boundaries, and unrouted space — for
 // all protocols, several days, and several seq values. Also covers
-// the ScanEngine address-scan against a per-address probe() loop, and
-// the ProbeSchedule budget/retry scenarios.
+// the ScanEngine address-scan against a per-address probe() loop, the
+// ProbeSchedule budget/retry scenarios, and NetworkSim::probe_fanout
+// (plus the standalone AliasDetector::probe_prefix built on it)
+// against a probe() loop over every class of APD candidate prefix.
 
 #include <array>
 #include <vector>
 
+#include "apd/apd.h"
 #include "engine/engine.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
@@ -256,8 +259,147 @@ void run_schedule_scenarios() {
            std::string("icmp,udp443"));
 }
 
+// Addresses worth probing inside `p`: live, dead and rotated-away
+// host addresses, carve-out members and random addresses of every
+// zone overlapping `p`, so probe_fanout's predicate sees responders
+// and not only the misses random fan-out addresses mostly produce.
+std::vector<ipv6::Address> addresses_under(const netsim::Universe& universe,
+                                           const ipv6::Prefix& p, int day,
+                                           util::Rng& rng) {
+  std::vector<ipv6::Address> out;
+  for (const auto& zone : universe.zones()) {
+    if (!p.contains(zone.prefix()) && !zone.prefix().contains(p)) continue;
+    const auto pool = zone.discoverable_count();
+    const ipv6::Address candidates[] = {
+        zone.discoverable_address(0, day),
+        zone.discoverable_address(1 % pool, day),
+        zone.discoverable_address(pool - 1, day),
+        zone.discoverable_address(0, day + 60),
+        zone.prefix().random_address(rng.next_u64()),
+        zone.config().carveout
+            ? zone.config().carveout->random_address(rng.next_u64())
+            : p.random_address(rng.next_u64())};
+    for (const auto& a : candidates) {
+      if (p.contains(a)) out.push_back(a);
+    }
+  }
+  return out;
+}
+
+void run_fanout_equivalence() {
+  netsim::UniverseParams params;
+  params.seed = 3;
+  params.scale = 0.1;
+  params.tail_as_count = 400;
+  const netsim::Universe universe(params);
+  netsim::NetworkSim sim(universe);
+  netsim::NetworkSim reference(universe);
+
+  // APD candidates of every class: each zone's own prefix and its
+  // announced prefix (the /32 AS bases, with /48 zones and deep
+  // /96../120 aliased pockets beneath), the /64, /96 and /112 of a
+  // live address, every carve-out /64, and unrouted space.
+  std::vector<ipv6::Prefix> prefixes;
+  std::size_t lossy = 0, quic = 0, nodes = 0, carveouts = 0, deep_bases = 0;
+  std::array<std::size_t, 5> schemes{};
+  for (const auto& zone : universe.zones()) {
+    const auto& config = zone.config();
+    prefixes.push_back(zone.prefix());
+    const auto* announcement = universe.bgp().lookup(zone.prefix().address());
+    if (announcement != nullptr && announcement->prefix != zone.prefix()) {
+      prefixes.push_back(announcement->prefix);
+      deep_bases += zone.prefix().length() >= 96;
+    }
+    const ipv6::Address live = zone.discoverable_address(0, 0);
+    for (const std::uint8_t level : {64, 96, 112}) {
+      if (level > zone.prefix().length()) {
+        prefixes.emplace_back(live, level);
+      }
+    }
+    if (config.carveout) {
+      prefixes.push_back(*config.carveout);
+      ++carveouts;
+    }
+    lossy += config.aliased && config.loss > 0.0;
+    quic += config.aliased && config.quic_flaky;
+    nodes += config.kind == netsim::ZoneKind::kNodes;
+    if (!config.aliased) ++schemes[static_cast<std::size_t>(config.scheme)];
+  }
+  prefixes.push_back(ipv6::must_parse_prefix("fd00:1234::/48"));
+  CHECK(lossy > 0);
+  CHECK(quic > 0);
+  CHECK(nodes > 0);
+  CHECK(carveouts > 0);
+  CHECK(deep_bases > 0);
+  for (const auto count : schemes) CHECK(count > 0);
+
+  std::size_t mismatches = 0;
+  std::size_t miscounted = 0;
+  std::size_t responded = 0;
+  std::size_t full = 0;
+  util::Rng rng(0xfa4);
+  // Days spaced to cross rotation epochs, as in run_probe_equivalence.
+  for (const int day : {0, 13, 61, 200}) {
+    for (const auto& p : prefixes) {
+      // Half fan-out addresses, half known addresses under p.
+      const auto known = addresses_under(universe, p, day, rng);
+      std::array<ipv6::Address, 16> addrs;
+      for (unsigned i = 0; i < 16; ++i) {
+        addrs[i] = i < 8 || known.empty()
+                       ? p.fanout_address(i, util::hash64(day, i, 0xA9D))
+                       : known[rng.uniform(known.size())];
+      }
+      for (const auto protocol : net::kAllProtocols) {
+        unsigned expected = 0;
+        for (unsigned i = 0; i < 16; ++i) {
+          expected += reference.probe(addrs[i], protocol, day, i).responded;
+        }
+        const std::uint64_t sent = sim.probes_sent();
+        const unsigned got =
+            sim.probe_fanout(p, addrs.data(), addrs.size(), protocol, day);
+        mismatches += got != expected;
+        miscounted += sim.probes_sent() - sent != 16;
+        responded += got;
+        full += got == 16;
+      }
+    }
+  }
+  CHECK_EQ(mismatches, 0u);
+  CHECK_EQ(miscounted, 0u);
+  CHECK(responded > 0);
+  CHECK(full > 0);
+
+  // The public single-prefix entry point, with no day batch around it,
+  // against the per-address loop over the same fan-out addresses.
+  std::size_t detector_mismatches = 0;
+  for (const auto protocol : net::kAllProtocols) {
+    apd::ApdOptions options;
+    options.protocol = protocol;
+    apd::AliasDetector detector(sim, options);
+    for (const int day : {5, 61}) {
+      for (const auto& p : prefixes) {
+        unsigned expected = 0;
+        for (unsigned n = 0; n < 16; ++n) {
+          expected += reference
+                          .probe(p.fanout_address(n, util::hash64(day, n, 0xA9D)),
+                                 protocol, day, n)
+                          .responded;
+        }
+        const std::uint64_t sent = sim.probes_sent();
+        const auto outcome = detector.probe_prefix(p, day);
+        detector_mismatches += outcome.prefix != p;
+        detector_mismatches += outcome.responded != expected;
+        detector_mismatches += outcome.aliased != (expected == 16);
+        detector_mismatches += sim.probes_sent() - sent != 16;
+      }
+    }
+  }
+  CHECK_EQ(detector_mismatches, 0u);
+}
+
 void run_tests(const std::vector<unsigned>& thread_counts) {
   run_probe_equivalence();
+  run_fanout_equivalence();
   run_scan_equivalence(thread_counts);
   run_schedule_scenarios();
 }

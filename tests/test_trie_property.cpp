@@ -1,8 +1,11 @@
-// Randomized property test for ipv6::PrefixTrie (ISSUE 2): insert 10k
-// random prefixes with a fixed-seed LCG and check longest_match (and
-// the batched longest_match_many) against a brute-force linear scan,
-// plus the /0, /128, and duplicate-insert edge cases and the
-// size()/empty() regression for the AliasFilter hoist.
+// Randomized property test for ipv6::PrefixTrie: insert 10k random
+// prefixes with a fixed-seed LCG and check longest_match (and the
+// batched longest_match_many) against a brute-force linear scan, plus
+// the /0, /128, and duplicate-insert edge cases and the size()/empty()
+// regression for the AliasFilter hoist. The cursor lookup
+// (seek + longest_match_from) is checked against both, under prefixes
+// the walk falls off above, stored prefixes, prefixes with stored
+// prefixes nested beneath, and after erases leave interior nodes.
 
 #include <map>
 #include <vector>
@@ -56,6 +59,43 @@ void check_against_model(const PrefixTrie<int>& trie,
   }
 }
 
+// The cursor lookup under `p` must agree with the root lookup and the
+// brute-force model for an address inside `p`.
+void check_cursor(const PrefixTrie<int>& trie,
+                  const std::map<Prefix, int>& model, const Prefix& p,
+                  const Address& a) {
+  CHECK(p.contains(a));
+  const int* from = trie.longest_match_from(trie.seek(p), a);
+  CHECK(from == trie.longest_match(a));
+  check_against_model(trie, model, a);
+}
+
+// Random prefixes of every cursor class over `inserted`, each checked
+// at a few addresses inside it.
+void check_cursor_classes(const PrefixTrie<int>& trie,
+                          const std::map<Prefix, int>& model,
+                          const std::vector<Prefix>& inserted, Lcg& lcg) {
+  for (int i = 0; i < 300; ++i) {
+    // Random space: short prefixes stop on a node with children,
+    // long ones fall off the trie above the prefix.
+    const Prefix random(Address::from_u64(lcg.next(), lcg.next()),
+                        static_cast<std::uint8_t>(lcg.next() % 129));
+    // A stored prefix, and a shorter prefix with it nested beneath.
+    const Prefix& stored = inserted[lcg.next() % inserted.size()];
+    const Prefix above(stored.address(),
+                       static_cast<std::uint8_t>(
+                           lcg.next() % (stored.length() + 1u)));
+    for (const Prefix& p : {random, stored, above}) {
+      for (int k = 0; k < 4; ++k) {
+        check_cursor(trie, model, p, p.random_address(lcg.next()));
+      }
+    }
+    // Addresses inside the nested prefix, seen through the outer one.
+    check_cursor(trie, model, above, stored.random_address(lcg.next()));
+    check_cursor(trie, model, above, stored.address());
+  }
+}
+
 void run_tests() {
   Lcg lcg;
 
@@ -99,6 +139,19 @@ void run_tests() {
     Address off = host;
     off.lo ^= 1;
     check_against_model(trie, model, off);
+
+    // Cursors at /0 (the root) and at the stored /128.
+    check_cursor(trie, model, root, host);
+    check_cursor(trie, model, root, off);
+    check_cursor(trie, model, p128, host);
+    const int* cursor_hit = trie.longest_match_from(trie.seek(p128), host);
+    CHECK(cursor_hit != nullptr && *cursor_hit == 2);
+    // A /128 beside the stored one: the walk falls off above it.
+    check_cursor(trie, model, Prefix(off, 128), off);
+    // An empty trie answers nothing from any cursor.
+    const PrefixTrie<int> empty;
+    CHECK(empty.longest_match_from(empty.seek(root), host) == nullptr);
+    CHECK(empty.longest_match_from(empty.seek(p128), host) == nullptr);
   }
 
   // --- 10k random prefixes vs brute force ---
@@ -153,6 +206,9 @@ void run_tests() {
     CHECK(batched[i] == trie.longest_match(probes[i]));
   }
 
+  // Cursor lookups over the full random trie.
+  check_cursor_classes(trie, model, inserted, lcg);
+
   // Duplicate re-insert of every prefix: size stays, values move.
   for (std::size_t i = 0; i < inserted.size(); ++i) {
     trie.insert(inserted[i], static_cast<int>(i) + 1000000);
@@ -163,6 +219,25 @@ void run_tests() {
     check_against_model(trie, model,
                         Address::from_u64(lcg.next(), lcg.next()));
   }
+
+  // Erase every other stored prefix: their nodes stay behind as
+  // value-less interior nodes, which cursors must walk through (and
+  // cursors at the erased prefixes themselves must skip).
+  std::vector<Prefix> erased;
+  std::vector<Prefix> kept;
+  for (std::size_t i = 0; i < inserted.size(); ++i) {
+    if (model.count(inserted[i]) == 0) continue;  // duplicate, gone
+    if (i % 2 == 0) {
+      CHECK(trie.erase(inserted[i]));
+      model.erase(inserted[i]);
+      erased.push_back(inserted[i]);
+    } else {
+      kept.push_back(inserted[i]);
+    }
+  }
+  CHECK_EQ(trie.size(), model.size());
+  check_cursor_classes(trie, model, kept, lcg);
+  check_cursor_classes(trie, model, erased, lcg);
 }
 
 }  // namespace
