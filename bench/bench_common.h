@@ -104,19 +104,24 @@ inline std::vector<net::Protocol> parse_protocols(const char* flag,
 
 /// Observability output path (--trace / --metrics): fail fast at
 /// parse time, not after a long run. An empty path is a flag-usage
-/// error; writability is probed by opening for append (creates the
-/// file, touches no existing content).
+/// error; writability is probed by opening for append (touches no
+/// existing content). A probe file that did not exist before is
+/// removed again, so a run that exits before writing its telemetry
+/// leaves no empty artifact behind.
 inline std::string parse_out_path(const char* flag, const char* text) {
   if (*text == '\0') {
     std::fprintf(stderr, "%s needs a non-empty path\n", flag);
     std::exit(2);
   }
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(text, ec);
   std::FILE* f = std::fopen(text, "a");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s path '%s' for writing\n", flag, text);
     std::exit(2);
   }
   std::fclose(f);
+  if (!existed) std::remove(text);
   return text;
 }
 

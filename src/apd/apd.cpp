@@ -21,20 +21,6 @@ namespace {
 // address twice).
 constexpr std::uint8_t kLevels[] = {48, 64, 96, 112};
 
-template <typename Map>
-void count_address_levels(const Address& a, const netsim::BgpTable& bgp,
-                          Map& counts) {
-  for (const auto level : kLevels) {
-    ++counts[Prefix(a, level)];
-  }
-  if (const auto* announcement = bgp.lookup(a)) {
-    const std::uint8_t length = announcement->prefix.length();
-    bool already_counted = false;
-    for (const auto level : kLevels) already_counted |= level == length;
-    if (!already_counted) ++counts[announcement->prefix];
-  }
-}
-
 }  // namespace
 
 AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
@@ -51,72 +37,43 @@ AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
 
 CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
                                    std::size_t min_targets,
-                                   engine::Engine* engine)
+                                   engine::Engine* /*engine*/)
     // min_targets 0 behaves like 1: a candidate must hold at least
     // one counted address, and a fresh counter entry starts at 0,
     // which would otherwise read as "already a candidate" and never
     // cross.
-    : bgp_(&bgp),
-      min_targets_(std::max<std::size_t>(1, min_targets)),
-      engine_(engine) {}
+    : bgp_(&bgp), min_targets_(std::max<std::size_t>(1, min_targets)) {}
 
 void CandidateCounter::reserve_for(std::size_t max_addresses) {
   // Every unique address contributes at most 5 level prefixes, and
-  // measured campaigns track ~3.3 prefixes per address — 4x bounds
-  // the global table. The per-shard scratch sees one day's additions;
-  // shards are keyed on AS bits (roughly uniform), so an even split
-  // with 4x skew slack covers the worst single day. Candidate-side
-  // vectors are bounded by one entry per tracked prefix.
+  // measured campaigns track 1.4-1.8 prefixes per address (scales
+  // 0.05-3.0), so 4x bounds the table with room to spare. The
+  // candidate-side vectors hold at most one entry per candidate.
   counts_.reserve(max_addresses * 4 + 64);
-  for (auto& shard : local_) {
-    shard.reserve((max_addresses * 5 / engine::kShardCount) * 4 + 64);
-  }
-  partition_.order.reserve(max_addresses);
-  candidates_.reserve(max_addresses + 64);
-  merged_.reserve(max_addresses + 64);
-  crossed_.reserve(max_addresses + 64);
+  const std::size_t candidate_bound = max_candidates(max_addresses);
+  candidates_.reserve(candidate_bound);
+  merged_.reserve(candidate_bound);
+  crossed_.reserve(candidate_bound);
 }
 
 const std::vector<Prefix>& CandidateCounter::add_addresses(
     const Address* addrs, std::size_t count) {
   crossed_.clear();
   if (count == 0) return crossed_;
-  // Count: one hash map per top-bits shard, whole buckets on the
-  // engine workers. All level prefixes of an address live in its
-  // shard (every level is at or below /48 > kShardDepth); only an
-  // announced prefix shorter than the shard key can straddle buckets,
-  // and the commutative merge below absorbs that.
-  for (auto& shard : local_) shard.clear();
-  engine::shard_partition_into(
-      addrs, count, [](const Address& a) { return engine::shard_of(a); },
-      partition_);
-  auto count_shards = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      for (std::uint32_t k = partition_.bounds[s];
-           k < partition_.bounds[s + 1]; ++k) {
-        count_address_levels(addrs[partition_.order[k]], *bgp_, local_[s]);
-      }
-    }
+  // Counts grow by one, so a prefix crosses min_targets exactly when
+  // its count reaches it, at most once ever; sorting makes the
+  // returned order canonical.
+  auto count_one = [&](const Prefix& prefix) {
+    if (++counts_[prefix] == min_targets_) crossed_.push_back(prefix);
   };
-  if (engine_ != nullptr && engine_->parallel()) {
-    // Grain 1 = a task never splits a shard, so each worker owns its
-    // `local_[s]` maps exclusively until the return barrier hands them
-    // to the serial merge (the CandidateCounter thread discipline).
-    engine_->parallel_for(engine::kShardCount, 1, count_shards);
-  } else {
-    count_shards(0, engine::kShardCount);
-  }
-  // Merge: serial, in shard order. Counts only ever grow, so a prefix
-  // crosses min_targets at most once — the crossing set is a pure
-  // function of the address set regardless of hash-map iteration
-  // order, and sorting makes the returned order canonical too.
-  for (const auto& shard_counts : local_) {
-    // order_lint: allow(sum-commutative: counts only grow; crossed_ sorted below)
-    for (const auto& [prefix, added] : shard_counts) {
-      auto& total = counts_[prefix];
-      const bool was_candidate = total >= min_targets_;
-      total += added;
-      if (!was_candidate && total >= min_targets_) crossed_.push_back(prefix);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Address& a = addrs[i];
+    for (const auto level : kLevels) count_one(Prefix(a, level));
+    if (const auto* announcement = bgp_->lookup(a)) {
+      const std::uint8_t length = announcement->prefix.length();
+      bool on_level = false;
+      for (const auto level : kLevels) on_level |= level == length;
+      if (!on_level) count_one(announcement->prefix);
     }
   }
   std::sort(crossed_.begin(), crossed_.end());

@@ -7,13 +7,13 @@
 // (Table 4) to suppress rate-limiting flicker.
 //
 // Steady-state allocation discipline: the persistent per-prefix state
-// lives in flat open-addressing tables (util::FlatMap) instead of
-// node containers, the sliding window is a fixed bit-ring instead of
-// a deque, and every per-day transient (outcomes, shard partitions,
-// crossing lists) is a reusable scratch member. A warm APD day — new
-// prefixes included, once table capacity has warmed up — therefore
-// performs zero heap allocations, which tests/test_day_alloc.cpp and
-// the noalloc policy of tools/symlint.py both enforce.
+// lives in flat open-addressing tables (util::FlatMap) sized once by
+// the pipeline's campaign bounds, the sliding window is a handful of
+// inline counters, and every per-day transient (outcomes, crossing
+// lists) is a reusable scratch member. A warm APD day — new prefixes
+// included — therefore performs zero heap allocations, which
+// tests/test_day_alloc.cpp and the noalloc policy of tools/symlint.py
+// both enforce.
 
 #include <array>
 #include <cstddef>
@@ -75,38 +75,29 @@ struct DayOutcome {
 /// outcomes was aliased, so a single rate-limited day cannot flip it,
 /// and a prefix ages out after window_days + 1 quiet days.
 ///
-/// The window is a fixed-size bit-ring — one inline word for windows
-/// up to 64 days (every pipeline configuration), a bitset vector
-/// sized once at construction beyond that (Table 4's campaign-length
-/// sweeps) — so update() never allocates; the deque it replaced
-/// allocated its map block at construction even for an empty history,
-/// which was the day loop's dominant heap churn (two allocations per
-/// candidate prefix per day, ~10k/day at bench scale).
+/// "Any positive among the last W outcomes" only needs the position
+/// of the most recent positive, so the state is a few inline counters:
+/// update() is O(1) and allocation-free for any window length, up to
+/// Table 4's campaign-length sweeps. The counters are 32-bit because a
+/// window sees one update per probed day; 2^32 updates is far beyond
+/// any campaign.
 class SlidingVerdict {
  public:
   explicit SlidingVerdict(unsigned window_days = 0)
-      : window_(static_cast<std::uint32_t>(window_days) + 1) {
-    if (window_ > 64) overflow_.assign((window_ + 63) / 64, 0);
-  }
+      : window_(static_cast<std::uint32_t>(window_days) + 1) {}
 
   /// Feed today's raw outcome; returns true when the windowed verdict
-  /// flipped relative to the previous day. O(1): the verdict is
-  /// "positives in window > 0", tracked by a counter, and the ring
-  /// cursor replaces push/pop, so long windows (Table 4 explores up
-  /// to the full campaign) cost the same as short ones.
+  /// flipped relative to the previous day.
   bool update(bool aliased_today) {
-    std::uint64_t* words = overflow_.empty() ? &bits_ : overflow_.data();
-    const std::uint64_t mask = std::uint64_t{1} << (cursor_ & 63);
-    std::uint64_t& word = words[cursor_ >> 6];
-    if (count_ == window_) {
-      positives_ -= (word & mask) != 0;  // evict the aged-out day
-    } else {
-      ++count_;
+    if (aliased_today) {
+      last_positive_ = updates_;
+      any_positive_ = true;
     }
-    word = aliased_today ? (word | mask) : (word & ~mask);
-    positives_ += aliased_today;
-    cursor_ = cursor_ + 1 == window_ ? 0 : cursor_ + 1;
-    const bool verdict = positives_ > 0;
+    // The window is updates updates_ - window_ + 1 .. updates_; before
+    // it fills, "a positive so far" and "a positive within the last
+    // window_ updates" coincide.
+    const bool verdict = any_positive_ && updates_ - last_positive_ < window_;
+    ++updates_;
     const bool flipped = has_verdict_ && verdict != verdict_;
     verdict_ = verdict;
     has_verdict_ = true;
@@ -117,31 +108,25 @@ class SlidingVerdict {
   bool has_verdict() const { return has_verdict_; }
 
  private:
-  std::uint64_t bits_ = 0;               // the ring, windows <= 64
-  std::vector<std::uint64_t> overflow_;  // the ring, windows > 64
-  std::uint32_t window_ = 1;             // ring size = window_days + 1
-  std::uint32_t cursor_ = 0;             // next write position
-  std::uint32_t count_ = 0;              // filled slots, saturates
-  std::uint32_t positives_ = 0;
+  std::uint32_t window_ = 1;         // window_days + 1 outcomes
+  std::uint32_t updates_ = 0;        // outcomes fed so far
+  std::uint32_t last_positive_ = 0;  // index of the latest aliased outcome
+  bool any_positive_ = false;
   bool verdict_ = false;
   bool has_verdict_ = false;
 };
 
 /// Persistent multi-level candidate counters for the delta-driven day
 /// loop: instead of re-counting the whole hitlist x 5 levels every
-/// day, fold in only the day's new addresses. Counting runs as
-/// per-shard hash maps on the engine workers followed by a serial
-/// merge in shard order, so the candidate set — and therefore every
-/// downstream probe — is byte-identical for any thread count and to
-/// a full recount (the one tests/reference_model.cpp performs daily).
-///
-/// Thread discipline: the persistent `counts_` map is only touched
-/// by the coordinator's serial merge; workers count into per-shard
-/// scratch maps they own exclusively (one shard bucket per task),
-/// with the pool barrier ordering the hand-off — so no field here
-/// needs a lock, and none is safe to race from outside add_addresses.
+/// day, fold in only the day's new addresses, serially and in input
+/// order, straight into one table. The candidate set — and therefore
+/// every downstream probe — equals a full recount (the one
+/// tests/reference_model.cpp performs daily).
 class CandidateCounter {
  public:
+  /// `engine` is unused: counting runs serially on the calling thread.
+  /// The argument stays for callers that hand their engine to every
+  /// stage.
   CandidateCounter(const netsim::BgpTable& bgp, std::size_t min_targets,
                    engine::Engine* engine = nullptr);
 
@@ -149,6 +134,14 @@ class CandidateCounter {
   /// will hold at most `max_addresses` unique addresses, so counting
   /// never grows a table mid-campaign (day-loop zero-alloc contract).
   void reserve_for(std::size_t max_addresses);
+
+  /// Upper bound on candidates().size() once at most `max_addresses`
+  /// unique addresses are counted: 5 * max_addresses / min_targets
+  /// (min_targets floored at 1), plus slack. The proof is at the
+  /// Pipeline constructor, which reserves the verdict table by it.
+  std::size_t max_candidates(std::size_t max_addresses) const {
+    return 5 * max_addresses / min_targets_ + 64;
+  }
 
   /// Count `count` new (already deduplicated) addresses into the
   /// persistent per-prefix counters; returns the prefixes whose count
@@ -170,15 +163,9 @@ class CandidateCounter {
 
   const netsim::BgpTable* bgp_;
   std::size_t min_targets_;
-  engine::Engine* engine_;
   CountMap counts_;
   std::vector<ipv6::Prefix> candidates_;
-  // Per-day scratch, reused across calls (phase-disciplined: workers
-  // own local_[s] exclusively for their shard buckets between the
-  // dispatch and the pool barrier; everything else is
-  // coordinator-only — see the class comment).
-  std::array<CountMap, engine::kShardCount> local_;
-  engine::ShardPartition partition_;
+  // Per-call scratch, reused across calls.
   std::vector<ipv6::Prefix> crossed_;
   std::vector<ipv6::Prefix> merged_;
 };

@@ -92,15 +92,26 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
   // Front-load every steady-state buffer to its campaign bound. The
   // source simulator can never emit more unique addresses than the
   // sum of its per-source final counts (growth fractions cap at 1),
-  // so that sum bounds the store, the resolution cache, the frame's
-  // row space, and — at ~5 level prefixes per address — the APD
-  // candidate tables. The aliased set is far smaller (only genuinely
-  // aliased zones survive the 16/16 fan-out), so the filter and the
-  // per-day flip lists get a detection-sized budget with generous
-  // slack; the counting-allocator test (tests/test_day_alloc.cpp)
-  // fails loudly if a campaign ever outgrows any of these.
+  // so that sum, N, bounds the store, the resolution cache, the
+  // frame's row space and the candidate counters.
+  //
+  // The verdict table and the per-day candidate lists hold at most
+  // one entry per APD candidate, and there are at most 5 * N / m
+  // candidates (m = min_targets, floored at 1), which
+  // CandidateCounter::max_candidates returns plus slack. Proof: at
+  // each of the four fixed levels the candidates are disjoint
+  // prefixes, so disjoint address sets of at least m addresses each,
+  // hence at most N / m of them; the announced prefixes off those
+  // levels are the fifth family, and each address counts toward at
+  // most one of them, so they too number at most N / m.
+  //
+  // The aliased set is far smaller (only genuinely aliased zones
+  // survive the 16/16 fan-out), so the filter gets a detection-sized
+  // budget with generous slack. The counting-allocator test
+  // (tests/test_day_alloc.cpp) fails loudly if a campaign ever
+  // outgrows any of these.
   const std::size_t bound = sources_.max_unique_addresses();
-  const std::size_t prefix_bound = bound * 4 + 64;
+  const std::size_t prefix_bound = counter_.max_candidates(bound);
   const std::size_t aliased_budget =
       256 + universe.true_aliased_prefixes().size() * 64;
   store_.reserve(bound);

@@ -1,14 +1,19 @@
-// Unit tests for the Table-4 sliding-window smoothing (ISSUE 2):
-// flicker suppression, the window_days = 0 edge, and a prefix aging
-// out of the aliased set — first on the extracted SlidingVerdict,
-// then end-to-end through AliasDetector on a simulated universe.
+// Unit tests for the Table-4 sliding-window smoothing: flicker
+// suppression, the window_days = 0 edge, and a prefix aging out of the
+// aliased set — first on the extracted SlidingVerdict, then against a
+// naive std::deque window over seed-driven outcome sequences, then
+// end-to-end through AliasDetector on a simulated universe.
 
+#include <cstdint>
+#include <cstdio>
+#include <deque>
 #include <vector>
 
 #include "apd/apd.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 using namespace v6h;
 using apd::SlidingVerdict;
@@ -25,7 +30,80 @@ unsigned feed(SlidingVerdict& window, const std::vector<bool>& days,
   return flips;
 }
 
+// The textbook window: the last window_days + 1 raw outcomes in a
+// deque plus a count of the aliased ones among them.
+class DequeWindow {
+ public:
+  explicit DequeWindow(unsigned window_days) : size_(window_days + 1) {}
+
+  bool update(bool aliased_today) {
+    outcomes_.push_back(aliased_today);
+    positives_ += aliased_today;
+    if (outcomes_.size() > size_) {
+      positives_ -= outcomes_.front();
+      outcomes_.pop_front();
+    }
+    const bool verdict = positives_ > 0;
+    const bool flipped = has_verdict_ && verdict != verdict_;
+    verdict_ = verdict;
+    has_verdict_ = true;
+    return flipped;
+  }
+
+  bool verdict() const { return verdict_; }
+  bool has_verdict() const { return has_verdict_; }
+
+ private:
+  std::size_t size_;
+  std::deque<bool> outcomes_;
+  std::size_t positives_ = 0;
+  bool verdict_ = false;
+  bool has_verdict_ = false;
+};
+
+// Differential run: SlidingVerdict against DequeWindow after every
+// update, for one (window, density, seed). The sequence is long enough
+// to fill the window several times; densities down to a fraction of
+// 1 / (window + 1) leave quiet gaps longer than the window, so verdicts
+// both age out and come back. Prints the first mismatch and stops.
+void check_against_deque(unsigned window_days, double density,
+                         std::uint64_t seed) {
+  util::Rng rng(seed * 1000003 + window_days);
+  SlidingVerdict window(window_days);
+  DequeWindow model(window_days);
+  const std::size_t steps = 4 * (std::size_t{window_days} + 1) + 64;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const bool aliased = rng.uniform_real() < density;
+    const bool flipped = window.update(aliased);
+    const bool want_flipped = model.update(aliased);
+    const bool same = flipped == want_flipped &&
+                      window.verdict() == model.verdict() &&
+                      window.has_verdict() == model.has_verdict();
+    CHECK(same);
+    if (!same) {
+      std::fprintf(stderr,
+                   "  window %u seed %llu density %g step %zu: flipped %d/%d "
+                   "verdict %d/%d (got/want)\n",
+                   window_days, static_cast<unsigned long long>(seed), density,
+                   step, flipped, want_flipped, window.verdict(),
+                   model.verdict());
+      return;
+    }
+  }
+}
+
 void run_tests() {
+  for (const unsigned window_days :
+       {0u, 1u, 2u, 3u, 7u, 63u, 64u, 65u, 200u, 10000u}) {
+    const double per_window = 1.0 / (window_days + 1.0);
+    for (const double density :
+         {0.9, 0.5, 0.1, 2 * per_window, per_window, 0.25 * per_window}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        check_against_deque(window_days, density, seed);
+      }
+    }
+  }
+
   // window_days = 0: the verdict is today's raw outcome, every change
   // is a flip (the paper's unstable 65-prefix baseline).
   {
@@ -68,7 +146,7 @@ void run_tests() {
     CHECK(window.verdict());
   }
 
-  // Long window: update is O(1) via the positives counter, and a
+  // Long window: update is O(1) via the latest-positive index, and a
   // single aliased day survives exactly window_days quiet days even
   // when the window spans most of a campaign.
   {

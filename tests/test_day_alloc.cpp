@@ -8,6 +8,12 @@
 // checked window: verdict application is the most tempting place to
 // allocate, so a window without flips would prove nothing about it.
 //
+// The window runs at the default min_targets and again at
+// min_targets 1, which makes every tracked prefix a candidate: the
+// most candidates per hitlist address, so the closest a campaign gets
+// to the 5 * N / min_targets bound the Pipeline constructor reserves
+// the verdict table and candidate lists by.
+//
 // Static complement: tools/symlint.py --policy noalloc walks the
 // machine-code call graph from Pipeline::run_day and the stage entry points and
 // proves no allocation route exists outside the capacity-elastic
@@ -27,7 +33,7 @@ using namespace v6h;
 
 namespace {
 
-void run_quiet_days(unsigned threads) {
+void run_quiet_days(unsigned threads, std::size_t min_targets) {
   engine::EngineOptions engine_options;
   engine_options.threads = threads;
   engine::Engine eng(engine_options);
@@ -38,7 +44,9 @@ void run_quiet_days(unsigned threads) {
   params.tail_as_count = 300;
   const netsim::Universe universe(params, &eng);
   netsim::NetworkSim sim(universe);
-  hitlist::Pipeline pipeline(universe, sim, {}, &eng);
+  hitlist::PipelineOptions options;
+  options.apd.min_targets = min_targets;
+  hitlist::Pipeline pipeline(universe, sim, options, &eng);
 
   // Mid-campaign window: source growth has ramped, APD verdicts are
   // live. The first two days absorb the cold start (capacity
@@ -69,8 +77,9 @@ void run_quiet_days(unsigned threads) {
     const auto allocs = day_allocs[static_cast<std::size_t>(d)];
     CHECK_EQ(allocs, 0u);
     if (allocs != 0) {
-      std::fprintf(stderr, "  day %d (threads %u): %llu allocations\n",
-                   first_day + d, threads,
+      std::fprintf(stderr,
+                   "  day %d (threads %u, min_targets %zu): %llu allocations\n",
+                   first_day + d, threads, min_targets,
                    static_cast<unsigned long long>(allocs));
     }
   }
@@ -81,7 +90,10 @@ void run_quiet_days(unsigned threads) {
 int main(int argc, char** argv) {
   for (const unsigned threads :
        v6h::test::thread_counts_from_cli(argc, argv, {1, 4})) {
-    run_quiet_days(threads);
+    for (const std::size_t min_targets :
+         {apd::ApdOptions{}.min_targets, std::size_t{1}}) {
+      run_quiet_days(threads, min_targets);
+    }
   }
   std::printf("%d checks, %d failures\n", v6h::test::checks,
               v6h::test::failures);

@@ -1,15 +1,73 @@
 // End-to-end Pipeline::run_day: collection grows, APD catches truly
 // aliased space without flagging honest space, scans carry response
-// masks, and the whole thing is deterministic.
+// masks, and the whole thing is deterministic. Also pins the
+// CandidateCounter invariants the pipeline's reserve bounds rest on,
+// for several min_targets values.
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <vector>
 
 #include "engine/shard.h"
 #include "hitlist/pipeline.h"
 #include "hitlist/stats.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 using namespace v6h;
 
-static void run_tests() {
+namespace {
+
+// Feed `hitlist` to a fresh CandidateCounter in random day-sized
+// batches and in one batch. The per-call crossing sets must be
+// disjoint and add up to candidates(), batching must not change the
+// result, and the candidate count must respect the 5 * N / m bound
+// the Pipeline constructor reserves the verdict table by.
+void check_counter_invariants(const netsim::BgpTable& bgp,
+                              const std::vector<ipv6::Address>& hitlist,
+                              std::size_t min_targets, std::uint64_t seed) {
+  const std::size_t n = hitlist.size();
+  apd::CandidateCounter batched(bgp, min_targets);
+  batched.reserve_for(n);
+  util::Rng rng(seed);
+  std::vector<ipv6::Prefix> crossed_union;
+  std::size_t calls = 0;
+  for (std::size_t begin = 0; begin < n; ++calls) {
+    // Roughly a tenth of the hitlist per call, like a campaign day.
+    const std::size_t size = std::min(n - begin, 1 + rng.uniform(n / 5 + 1));
+    const auto& crossed = batched.add_addresses(hitlist.data() + begin, size);
+    CHECK(std::is_sorted(crossed.begin(), crossed.end()));
+    crossed_union.insert(crossed_union.end(), crossed.begin(), crossed.end());
+    begin += size;
+  }
+  std::sort(crossed_union.begin(), crossed_union.end());
+  const bool disjoint = std::adjacent_find(crossed_union.begin(),
+                                           crossed_union.end()) ==
+                        crossed_union.end();
+  CHECK(disjoint);
+  CHECK(crossed_union == batched.candidates());
+
+  apd::CandidateCounter whole(bgp, min_targets);
+  whole.add_addresses(hitlist.data(), n);
+  CHECK(whole.candidates() == batched.candidates());
+  CHECK(!whole.candidates().empty());
+
+  const std::size_t bound = 5 * n / std::max<std::size_t>(1, min_targets);
+  CHECK(batched.candidates().size() <= bound);
+  if (!disjoint || crossed_union != batched.candidates() ||
+      whole.candidates() != batched.candidates() ||
+      batched.candidates().size() > bound) {
+    std::fprintf(stderr,
+                 "  min_targets %zu seed %llu: %zu calls, %zu crossed, %zu "
+                 "candidates batched, %zu whole, bound %zu\n",
+                 min_targets, static_cast<unsigned long long>(seed), calls,
+                 crossed_union.size(), batched.candidates().size(),
+                 whole.candidates().size(), bound);
+  }
+}
+
+void run_tests() {
   netsim::UniverseParams params;
   params.scale = 0.05;
   params.tail_as_count = 150;
@@ -127,6 +185,15 @@ static void run_tests() {
   for (const auto source : netsim::kAllSources) {
     CHECK(!sources.cumulative(source).empty());
   }
+
+  for (const std::size_t min_targets : {0, 1, 2, 5}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      check_counter_invariants(universe.bgp(), pipeline.targets(),
+                               min_targets, seed);
+    }
+  }
 }
+
+}  // namespace
 
 TEST_MAIN()
