@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <utility>
 
 #include "obs/obs.h"
 #include "scan/scan_frame.h"
@@ -23,16 +24,16 @@ constexpr std::uint8_t kLevels[] = {48, 64, 96, 112};
 
 }  // namespace
 
-AliasDetector::FanoutSeeds AliasDetector::fanout_seeds(int day) {
+netsim::FanoutDay AliasDetector::fanout_day(int day) const {
   // The paper's per-day pseudo-random fan-out: nybble n's salt is a
   // function of (day, n) only, so one day's 16 seeds serve every
   // prefix probed that day.
-  FanoutSeeds seeds;
+  std::array<std::uint64_t, 16> seeds;
   for (unsigned nybble = 0; nybble < 16; ++nybble) {
     seeds[nybble] =
         Prefix::fanout_seed(nybble, util::hash64(day, nybble, 0xA9D));
   }
-  return seeds;
+  return netsim::FanoutDay(seeds, day, options_.protocol);
 }
 
 CandidateCounter::CandidateCounter(const netsim::BgpTable& bgp,
@@ -92,25 +93,20 @@ AliasDetector::AliasDetector(netsim::NetworkSim& sim, const ApdOptions& options,
     : sim_(&sim), options_(options), engine_(engine) {}
 
 void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
+  // The verdict table is reserved for the Pipeline's proven candidate
+  // bound, so every byte of its slot is bootstrap and rescan peak
+  // memory.
+  static_assert(sizeof(std::pair<Prefix, VerdictState>) == 48);
   state_.reserve(max_prefixes);
-  outcomes_.reserve(max_prefixes);
+  batch_.reserve(max_prefixes);
   partition_.order.reserve(max_prefixes);
 }
 
 PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
-  return probe_seeded(prefix, day, fanout_seeds(day));
-}
-
-PrefixOutcome AliasDetector::probe_seeded(const Prefix& prefix, int day,
-                                          const FanoutSeeds& seeds) {
   PrefixOutcome outcome;
   outcome.prefix = prefix;
-  std::array<Address, 16> fanout;
-  for (unsigned nybble = 0; nybble < 16; ++nybble) {
-    fanout[nybble] = prefix.fanout_address_seeded(nybble, seeds[nybble]);
-  }
-  outcome.responded = sim_->probe_fanout(prefix, fanout.data(), fanout.size(),
-                                         options_.protocol, day);
+  outcome.responded =
+      sim_->probe_fanout(prefix, sim_->resolve_fanout(prefix), fanout_day(day));
   outcome.aliased = outcome.responded == 16;
   return outcome;
 }
@@ -124,48 +120,63 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
   obs::StageSpan span(obs_, obs::Stage::kApd);
   out.clear();
   const std::size_t n = prefixes.size();
-  outcomes_.clear();
-  outcomes_.resize(n);
-  // Computed before dispatch; workers only read it.
-  const FanoutSeeds seeds = fanout_seeds(day);
+  // Pass 1: find or insert every prefix's state, resolving a new
+  // prefix's zone once. Entry pointers stay valid while the table does
+  // not grow; a growth rehash (a table not reserved for the batch)
+  // moves every slot, so the pointers are found again after it.
+  const std::size_t capacity = state_.capacity();
+  batch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto [entry, inserted] = state_.try_emplace(prefixes[i]);
+    if (inserted) {
+      entry->second.window = SlidingVerdict(options_.window_days);
+      entry->second.zone = sim_->resolve_fanout(prefixes[i]);
+    }
+    batch_[i].state = &entry->second;
+  }
+  if (state_.capacity() != capacity) {
+    for (std::size_t i = 0; i < n; ++i) batch_[i].state = state_.find(prefixes[i]);
+  }
+  // Pass 2: probe. The day constants are computed before dispatch;
+  // workers only read them and the entries.
+  const netsim::FanoutDay fanout = fanout_day(day);
+  auto probe = [&](std::size_t i) {
+    batch_[i].responded =
+        sim_->probe_fanout(prefixes[i], batch_[i].state->zone, fanout);
+  };
   if (engine_ != nullptr && engine_->parallel()) {
     // Batch per top-bits shard: each worker chunk probes one region of
-    // the address space; outcomes are index-addressed, so the merge
+    // the address space; counts are index-addressed, so the merge
     // below reads them back in input order regardless of scheduling.
     engine::shard_partition_into(
         prefixes.data(), n,
         [](const Prefix& p) { return engine::shard_first(p); }, partition_);
     engine_->parallel_for(n, 4, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t i = partition_.order[k];
-        outcomes_[i] = probe_seeded(prefixes[i], day, seeds);
-      }
+      for (std::size_t k = begin; k < end; ++k) probe(partition_.order[k]);
     });
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      outcomes_[i] = probe_seeded(prefixes[i], day, seeds);
-    }
+    for (std::size_t i = 0; i < n; ++i) probe(i);
   }
-  // Deterministic merge: windows update serially in input order.
+  // Pass 3, the deterministic merge: windows update serially in input
+  // order.
   for (std::size_t i = 0; i < n; ++i) {
     const Prefix& prefix = prefixes[i];
     out.probes += 16;
-    auto [entry, inserted] = state_.try_emplace(prefix);
-    if (inserted) entry->second.window = SlidingVerdict(options_.window_days);
-    SlidingVerdict& window = entry->second.window;
+    VerdictState& state = *batch_[i].state;
+    const unsigned responded = batch_[i].responded;
     // The effective previous verdict — a prefix without one yet is
     // clean, so a first-day aliased verdict is a became_aliased event
     // even though the Table-4 flip counter (which measures verdict
     // *instability*) does not count it.
-    const bool previous = window.has_verdict() && window.verdict();
-    if (window.update(outcomes_[i].aliased)) ++entry->second.flips;
-    const bool current = window.verdict();
+    const bool previous = state.window.has_verdict() && state.window.verdict();
+    if (state.window.update(responded == 16)) ++state.flips;
+    const bool current = state.window.verdict();
     if (current != previous) {
       (current ? out.became_aliased : out.became_clean).push_back(prefix);
     }
     if (current) out.aliased.push_back(prefix);
     if (sink != nullptr) {
-      sink->on_fanout(prefix, outcomes_[i].responded, current);
+      sink->on_fanout(prefix, responded, current);
     }
   }
   if (obs_ != nullptr) {

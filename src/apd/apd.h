@@ -6,6 +6,10 @@
 // aliased. Daily verdicts are smoothed with a sliding window
 // (Table 4) to suppress rate-limiting flicker.
 //
+// Each candidate's zone is resolved once, when it first enters the
+// verdict table, and kept in its slot; the daily fan-out then runs
+// NetworkSim's 16-lane kernel over that zone.
+//
 // Steady-state allocation discipline: the persistent per-prefix state
 // lives in flat open-addressing tables (util::FlatMap) sized once by
 // the pipeline's campaign bounds, the sliding window is a handful of
@@ -15,7 +19,6 @@
 // tests/test_day_alloc.cpp and the noalloc policy of tools/symlint.py
 // both enforce.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -176,9 +179,8 @@ class AliasDetector {
                          engine::Engine* engine = nullptr);
 
   /// No-op, kept for source compatibility: the fan-out always runs
-  /// through NetworkSim::probe_fanout (one zone-trie walk per prefix,
-  /// predicate-only probes), so there is no scan-engine route left to
-  /// select.
+  /// through NetworkSim::probe_fanout, so there is no scan-engine
+  /// route left to select.
   void set_scan_engine(scan::ScanEngine* /*scan_engine*/) {}
 
   /// Attach (or detach with nullptr) the observability layer: each
@@ -193,17 +195,28 @@ class AliasDetector {
 
   /// Probe the 16 fan-out addresses of `prefix` at `day`: one
   /// pseudo-random address under each nybble branch, seq = nybble.
+  /// Resolves the prefix's zone on the fly.
   PrefixOutcome probe_prefix(const ipv6::Prefix& prefix, int day);
 
-  /// One APD day over a candidate batch: probe (sharded across the
-  /// engine workers when one is attached), update windows in input
-  /// order, and fill `out` with the prefixes currently judged aliased
-  /// plus the verdict delta. `out`'s vectors are cleared and refilled
-  /// (capacity retained), so a reused DayOutcome makes a warm APD day
-  /// allocation-free. The fan-out counters stream through `sink` when
-  /// one is given — ResultSink::on_fanout(prefix, responded, windowed
-  /// verdict) fires serially in batch order, so a streaming consumer
-  /// sees exactly what DayOutcome materializes.
+  /// One APD day over a candidate batch, in three passes:
+  ///  1. serially, in input order, find each prefix's verdict state,
+  ///     inserting a new one with its window and its zone code
+  ///     (NetworkSim::resolve_fanout), so a candidate's zone is
+  ///     resolved once, when it first enters the table (a table not
+  ///     reserved for the batch may grow here; the entries are then
+  ///     found again);
+  ///  2. probe every prefix through its zone code, sharded across the
+  ///     engine workers when one is attached;
+  ///  3. serially, in input order, update the windows through the
+  ///     entries pass 1 found (one table lookup per prefix per day),
+  ///     and fill `out` with the prefixes currently judged aliased
+  ///     plus the verdict delta.
+  /// `out`'s vectors are cleared and refilled (capacity retained), so
+  /// a reused DayOutcome makes a warm APD day allocation-free. The
+  /// fan-out counters stream through `sink` when one is given —
+  /// ResultSink::on_fanout(prefix, responded, windowed verdict) fires
+  /// serially in batch order, so a streaming consumer sees exactly
+  /// what DayOutcome materializes.
   void run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes, int day,
                            scan::ResultSink* sink, DayOutcome& out);
 
@@ -224,20 +237,23 @@ class AliasDetector {
 
   const ApdOptions& options() const { return options_; }
 
- private:
-  // fanout_seed(n, salt of (day, n)) for the 16 nybbles: the part of
-  // every fan-out address that depends on the day alone.
-  using FanoutSeeds = std::array<std::uint64_t, 16>;
-  static FanoutSeeds fanout_seeds(int day);
-  PrefixOutcome probe_seeded(const ipv6::Prefix& prefix, int day,
-                             const FanoutSeeds& seeds);
+  /// Prefixes with verdict state: every prefix ever probed by a batch.
+  std::size_t tracked_prefixes() const { return state_.size(); }
 
-  // Sliding window plus its Table-4 flip counter, stored inline in
-  // the flat table (the separate std::map<Prefix, unsigned> it
-  // replaces allocated a node per first flip).
+ private:
+  // The fan-out's day constants for options_.protocol: lane n's seed
+  // is fanout_seed(n, salt of (day, n)), the same for every prefix.
+  netsim::FanoutDay fanout_day(int day) const;
+
+  // Sliding window plus its Table-4 flip counter and the prefix's
+  // NetworkSim::resolve_fanout code, stored inline in the flat table
+  // (the separate std::map<Prefix, unsigned> it replaces allocated a
+  // node per first flip). The zone code fills what was padding: the
+  // table slot stays 48 bytes (asserted at reserve_prefixes).
   struct VerdictState {
     SlidingVerdict window;
     unsigned flips = 0;
+    std::int32_t zone = netsim::NetworkSim::kFanoutNoZone;
   };
 
   netsim::NetworkSim* sim_;
@@ -245,10 +261,18 @@ class AliasDetector {
   engine::Engine* engine_;
   obs::Observability* obs_ = nullptr;
   util::FlatMap<ipv6::Prefix, VerdictState, ipv6::PrefixHash> state_;
-  // Per-day scratch, reused across calls. Workers write disjoint
-  // index-addressed outcomes_[i] between dispatch and the pool
-  // barrier; partition_ is coordinator-only.
-  std::vector<PrefixOutcome> outcomes_;
+  // One batch entry: the prefix's verdict state, found by pass 1, and
+  // its responder count, written by pass 2.
+  struct Probed {
+    VerdictState* state = nullptr;
+    unsigned responded = 0;
+  };
+
+  // Per-day scratch, reused across calls. Workers only read
+  // batch_[i].state and write disjoint index-addressed
+  // batch_[i].responded between dispatch and the pool barrier;
+  // partition_ is coordinator-only.
+  std::vector<Probed> batch_;
   engine::ShardPartition partition_;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/lane_clones.h"
 #include "util/rng.h"
 
 namespace v6h::ipv6 {
@@ -14,6 +15,44 @@ std::uint64_t keep_top(std::uint64_t value, unsigned bits) {
   if (bits == 0) return 0;
   if (bits >= 64) return value;
   return value & ~((1ULL << (64 - bits)) - 1);
+}
+
+// Prefix::fanout_addresses for the prefix (base, len):
+// random_address's two hashes with the seed-only first round taken
+// from `lanes`, its host masks, then fanout_address_seeded's nybble
+// pin.
+V6H_LANE_CLONES
+void fanout_lanes(const FanoutLanes& lanes, Address base, unsigned len,
+                  Address* out) {
+  using util::splitmix64;
+  const std::uint64_t hi_word = base.hi ^ 0x9d2c5680ULL;
+  const std::uint64_t lo_word = base.lo + len;
+  const std::uint64_t hi_host = len >= 64 ? 0 : ~0ULL >> len;
+  const std::uint64_t lo_host =
+      len <= 64 ? ~0ULL : (len >= 128 ? 0 : ~0ULL >> (len - 64));
+  // The pinned nybble as a mask and shift into one half (both masks
+  // zero above /124).
+  std::uint64_t pin_hi = 0;
+  std::uint64_t pin_lo = 0;
+  unsigned shift = 0;
+  if (len <= 124) {
+    const unsigned index = (len + 3) / 4;
+    shift = index < 16 ? (15 - index) * 4 : (31 - index) * 4;
+    (index < 16 ? pin_hi : pin_lo) = 0xfULL << shift;
+  }
+  std::uint64_t hi[16];
+  std::uint64_t lo[16];
+  for (std::size_t n = 0; n < 16; ++n) {
+    const std::uint64_t r_hi =
+        splitmix64(splitmix64(lanes.head[n] ^ hi_word) ^ lo_word);
+    const std::uint64_t r_lo = splitmix64(
+        splitmix64(splitmix64(r_hi ^ util::kHashSeed) ^ lanes.salt[n]) ^
+        base.hi);
+    const std::uint64_t nybble = static_cast<std::uint64_t>(n) << shift;
+    hi[n] = ((base.hi | (r_hi & hi_host)) & ~pin_hi) | (nybble & pin_hi);
+    lo[n] = ((base.lo | (r_lo & lo_host)) & ~pin_lo) | (nybble & pin_lo);
+  }
+  for (std::size_t n = 0; n < 16; ++n) out[n] = Address{hi[n], lo[n]};
 }
 
 }  // namespace
@@ -62,6 +101,18 @@ Address Prefix::fanout_address_seeded(unsigned nybble,
     }
   }
   return out;
+}
+
+FanoutLanes::FanoutLanes(const std::array<std::uint64_t, 16>& seeds) {
+  for (std::size_t n = 0; n < 16; ++n) {
+    head[n] = util::splitmix64(seeds[n] ^ util::kHashSeed);
+    salt[n] = seeds[n] ^ 0x5f356495ULL;
+  }
+}
+
+void Prefix::fanout_addresses(const FanoutLanes& lanes,
+                              std::array<Address, 16>& out) const {
+  fanout_lanes(lanes, address_, length_, out.data());
 }
 
 Address Prefix::random_address(std::uint64_t seed) const {

@@ -3,6 +3,7 @@
 // IPv6 prefix (masked address + length) with the fan-out and random
 // address generators the alias detector builds on.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -10,6 +11,18 @@
 #include "ipv6/address.h"
 
 namespace v6h::ipv6 {
+
+/// The seed-only half of Prefix::fanout_address_seeded for the 16
+/// nybble lanes, lane n carrying nybble n's seed: the first splitmix64
+/// round of random_address's first hash, and the seed word of its
+/// second. A caller probing many prefixes under one day's seeds builds
+/// this once and hands it to Prefix::fanout_addresses.
+struct FanoutLanes {
+  explicit FanoutLanes(const std::array<std::uint64_t, 16>& seeds);
+
+  std::array<std::uint64_t, 16> head;  // splitmix64(seed ^ util::kHashSeed)
+  std::array<std::uint64_t, 16> salt;  // seed ^ 0x5f356495
+};
 
 class Prefix {
  public:
@@ -38,6 +51,13 @@ class Prefix {
   /// fanout_address_seeded(n, fanout_seed(n, salt)).
   static std::uint64_t fanout_seed(unsigned nybble, std::uint64_t salt);
   Address fanout_address_seeded(unsigned nybble, std::uint64_t seed) const;
+
+  /// All 16 fan-out addresses at once: out[n] ==
+  /// fanout_address_seeded(n, seeds[n]) for the seeds `lanes` was
+  /// built from. Per lane that is 5 splitmix64 rounds and two masks;
+  /// the prefix's host masks and pinned nybble are computed once.
+  void fanout_addresses(const FanoutLanes& lanes,
+                        std::array<Address, 16>& out) const;
 
   /// Uniform pseudo-random address inside the prefix.
   Address random_address(std::uint64_t seed) const;

@@ -1,5 +1,6 @@
 #include "netsim/network_sim.h"
 
+#include "util/lane_clones.h"
 #include "util/rng.h"
 
 namespace v6h::netsim {
@@ -7,6 +8,7 @@ namespace v6h::netsim {
 using ipv6::Address;
 using util::hash64;
 using util::hash_unit;
+using util::splitmix64;
 
 namespace {
 
@@ -194,6 +196,7 @@ inline Answer answer(const Zone& zone, const ZoneProbeParams& zp,
 ZoneProbeParams params_of(const Zone& zone) {
   ZoneProbeParams zp;
   zp.key = zone.key();
+  zp.key_head = splitmix64(zp.key ^ util::kHashSeed);
   zp.loss = zone.config().loss;
   zp.quic_flaky = zone.config().quic_flaky;
   zp.nodes = zone.config().kind == ZoneKind::kNodes;
@@ -206,7 +209,114 @@ ZoneProbeParams params_of(const Zone& zone) {
   return zp;
 }
 
+// The fan-out lane kernels below are answer() re-expressed for the 16
+// addresses of one prefix inside one zone, with the per-prefix work
+// hoisted out of the lanes. Each returns the responder count.
+
+// Zones nested below the prefix: each lane finds its own zone,
+// continuing one trie walk down to the prefix.
+unsigned fanout_walk(const Universe& universe,
+                     const std::vector<ZoneProbeParams>& params,
+                     const ipv6::Prefix& prefix, const FanoutDay& fd) {
+  std::array<Address, 16> addrs;
+  prefix.fanout_addresses(fd.lanes, addrs);
+  const Universe::ZoneCursor cursor = universe.zone_cursor(prefix);
+  unsigned responded = 0;
+  for (unsigned n = 0; n < 16; ++n) {
+    const Zone* zone = universe.zone_at(cursor, addrs[n]);
+    if (zone == nullptr) continue;
+    responded += answer(*zone, params[zone_index(universe, *zone)], addrs[n],
+                        fd.protocol, fd.day, n)
+                     .responded;
+  }
+  return responded;
+}
+
+// Aliased zone: answer()'s aliased branch. A lossless zone with no
+// carve-out under the prefix and no QUIC roll answers every lane, so
+// no address is generated; otherwise each lane takes the carve-out
+// test and the loss and QUIC rolls, with hash64(key, ...)'s first
+// round hoisted per zone (key_head) and hash64(day, n, protocol) per
+// day (loss_salt).
+unsigned fanout_aliased(const ZoneConfig& config, const ZoneProbeParams& zp,
+                        const ipv6::Prefix& prefix, const FanoutDay& fd) {
+  const bool lossy = zp.loss > 0.0;
+  const bool quic = zp.quic_flaky && fd.protocol == net::Protocol::kUdp443;
+  const ipv6::Prefix* carveout = nullptr;
+  if (config.carveout && (config.carveout->contains(prefix) ||
+                          prefix.contains(*config.carveout))) {
+    carveout = &*config.carveout;
+  }
+  if (!lossy && !quic && carveout == nullptr) return 16;
+  std::array<Address, 16> addrs;
+  prefix.fanout_addresses(fd.lanes, addrs);
+  const double rate = quic ? 0.60 + 0.35 * hash_unit(zp.key, 0xF1A, fd.day) : 0;
+  const std::uint64_t quic_salt = 0xF1B + static_cast<unsigned>(fd.day);
+  unsigned responded = 0;
+  for (unsigned n = 0; n < 16; ++n) {
+    const Address& a = addrs[n];
+    // A carve-out member takes answer()'s honest branch, where an
+    // aliased zone never inverts a slot: silent.
+    if (carveout != nullptr && carveout->contains(a)) continue;
+    const std::uint64_t keyed = splitmix64(zp.key_head ^ hash64(a.hi, a.lo, 0xAD));
+    if (lossy && util::to_unit(splitmix64(keyed ^ fd.loss_salt[n])) < zp.loss) {
+      continue;
+    }
+    if (quic && util::to_unit(splitmix64(keyed ^ quic_salt)) >= rate) continue;
+    ++responded;
+  }
+  return responded;
+}
+
+// The Feistel inverse of each lane's IID under one epoch's rounds.
+// The rounds and IIDs are local copies, so the compiler sees that no
+// store can alias them and vectorizes the loop at full width without
+// a runtime overlap check.
+V6H_LANE_CLONES
+void invert_lanes(util::FeistelRounds rounds,
+                  const std::array<Address, 16>& addrs,
+                  std::array<std::uint64_t, 16>& slots) {
+  std::uint64_t iid[16];
+  for (std::size_t n = 0; n < 16; ++n) iid[n] = addrs[n].lo;
+  for (std::size_t n = 0; n < 16; ++n) iid[n] = rounds.decrypt(iid[n]);
+  for (std::size_t n = 0; n < 16; ++n) slots[n] = iid[n];
+}
+
+// Honest zone. slot_of() rejects a kRandom IID whose Feistel inverse
+// is at or beyond the discoverable pool — for random fan-out IIDs,
+// practically every lane — so the epoch's rounds are keyed once per
+// prefix and only a lane that inverts into the pool runs answer().
+// Counter schemes reject most IIDs with a range test, so their lanes
+// run answer() directly.
+unsigned fanout_honest(const Zone& zone, const ZoneProbeParams& zp,
+                       const ipv6::Prefix& prefix, const FanoutDay& fd) {
+  std::array<Address, 16> addrs;
+  prefix.fanout_addresses(fd.lanes, addrs);
+  unsigned responded = 0;
+  if (zone.config().scheme == AddressingScheme::kRandom) {
+    std::array<std::uint64_t, 16> slots;
+    invert_lanes(zone.iid_rounds(fd.day), addrs, slots);
+    for (unsigned n = 0; n < 16; ++n) {
+      if (slots[n] >= zone.config().discoverable) continue;
+      responded += answer(zone, zp, addrs[n], fd.protocol, fd.day, n).responded;
+    }
+    return responded;
+  }
+  for (unsigned n = 0; n < 16; ++n) {
+    responded += answer(zone, zp, addrs[n], fd.protocol, fd.day, n).responded;
+  }
+  return responded;
+}
+
 }  // namespace
+
+FanoutDay::FanoutDay(const std::array<std::uint64_t, 16>& seeds, int day,
+                     net::Protocol protocol)
+    : lanes(seeds), day(day), protocol(protocol) {
+  for (unsigned n = 0; n < 16; ++n) {
+    loss_salt[n] = hash64(day, n, net::index_of(protocol));
+  }
+}
 
 NetworkSim::NetworkSim(const Universe& universe) : universe_(&universe) {
   zone_params_.reserve(universe.zones().size());
@@ -271,20 +381,30 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
   return out;
 }
 
-unsigned NetworkSim::probe_fanout(const ipv6::Prefix& prefix,
-                                  const Address* addrs, std::size_t count,
-                                  net::Protocol protocol, int day) {
-  probes_sent_.fetch_add(count, std::memory_order_relaxed);
+std::int32_t NetworkSim::resolve_fanout(const ipv6::Prefix& prefix) const {
   const Universe::ZoneCursor cursor = universe_->zone_cursor(prefix);
-  unsigned responded = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Zone* zone = universe_->zone_at(cursor, addrs[i]);
-    if (zone == nullptr) continue;
-    responded += answer(*zone, zone_params_[zone_index(*universe_, *zone)],
-                        addrs[i], protocol, day, static_cast<unsigned>(i))
-                     .responded;
+  if (cursor.node >= 0) return kFanoutWalk;
+  // A final cursor answers every address under the prefix alike.
+  const Zone* zone = universe_->zone_at(cursor, prefix.address());
+  return zone == nullptr
+             ? kFanoutNoZone
+             : static_cast<std::int32_t>(zone_index(*universe_, *zone));
+}
+
+unsigned NetworkSim::probe_fanout(const ipv6::Prefix& prefix,
+                                  std::int32_t zone, const FanoutDay& day) {
+  probes_sent_.fetch_add(16, std::memory_order_relaxed);
+  if (zone == kFanoutNoZone) return 0;
+  if (zone == kFanoutWalk) return fanout_walk(*universe_, zone_params_, prefix, day);
+  const auto z = static_cast<std::size_t>(zone);
+  const Zone& resolved = universe_->zones()[z];
+  // A host serves a subset of its zone's machine services.
+  if (!net::responds_to(resolved.config().machine_service, day.protocol)) {
+    return 0;
   }
-  return responded;
+  return resolved.aliased()
+             ? fanout_aliased(resolved.config(), zone_params_[z], prefix, day)
+             : fanout_honest(resolved, zone_params_[z], prefix, day);
 }
 
 ProbeResult NetworkSim::probe_resolved(const ResolvedTarget& r,

@@ -14,11 +14,19 @@
 //    genuinely day/seq-dependent hashes. Byte-identical to probe() by
 //    construction (tests/test_scan_engine.cpp), and the substrate of
 //    the scan::ScanEngine batch hot path.
-//  - probe_fanout(): the alias detector's 16 probes under one prefix.
-//    One zone-trie walk to the prefix serves every address, and each
-//    probe evaluates only the response predicate (no machine image).
-//    Its responder count equals a probe() loop with seq = 0..15.
+//  - resolve_fanout() + probe_fanout(): the alias detector's 16 probes
+//    under one prefix. resolve_fanout() finds the prefix's zone once
+//    per campaign (the universe never changes); probe_fanout() is a
+//    16-lane kernel over that zone, with everything that depends only
+//    on the day (FanoutDay), the zone or its rotation epoch computed
+//    once per prefix, not per lane. It specialises by zone class —
+//    lossless aliased zones answer without generating an address,
+//    privacy-addressed zones invert each IID with pre-keyed Feistel
+//    rounds — and its responder count equals a probe() loop over the
+//    same 16 fan-out addresses with seq = nybble
+//    (tests/test_scan_engine.cpp).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -108,14 +116,35 @@ struct ResolvedColumns {
 /// the batch loop replaces a Zone pointer chase with one indexed load.
 struct ZoneProbeParams {
   std::uint64_t key = 0;
+  std::uint64_t key_head = 0;  // splitmix64(key ^ util::kHashSeed)
   double loss = 0.0;
   double stability = 1.0;  // host_transient_up threshold by zone kind
   bool quic_flaky = false;
   bool nodes = false;  // Bitnodes-style permanent churn applies
 };
 
+/// The day-only constants of the APD fan-out's 16 lanes (lane n
+/// probes nybble n's address with seq = n): the address generator's
+/// seed rounds and each lane's loss-roll salt hash64(day, n,
+/// protocol). Built once per (day, protocol) batch from the day's 16
+/// fan-out seeds and read-only afterwards, so engine workers share
+/// one.
+struct FanoutDay {
+  FanoutDay(const std::array<std::uint64_t, 16>& seeds, int day,
+            net::Protocol protocol);
+
+  ipv6::FanoutLanes lanes;
+  std::array<std::uint64_t, 16> loss_salt;
+  int day;
+  net::Protocol protocol;
+};
+
 class NetworkSim {
  public:
+  /// resolve_fanout() codes other than a zone index.
+  static constexpr std::int32_t kFanoutNoZone = -1;  // no zone holds it
+  static constexpr std::int32_t kFanoutWalk = -2;    // zones below it
+
   explicit NetworkSim(const Universe& universe);
 
   /// One probe of `a` with `protocol` at (day, seq). Deterministic in
@@ -126,13 +155,22 @@ class NetworkSim {
   ProbeResult probe(const ipv6::Address& a, net::Protocol protocol, int day,
                     unsigned seq = 0);
 
-  /// APD fan-out: probe addrs[0..count), all inside `prefix`, with
-  /// seq = i for addrs[i], and return how many responded — the
-  /// responded bits of probe(addrs[i], protocol, day, i), summed.
-  /// Counts `count` probes sent. The zone trie is walked to `prefix`
-  /// once; each address then costs only the levels below it.
-  unsigned probe_fanout(const ipv6::Prefix& prefix, const ipv6::Address* addrs,
-                        std::size_t count, net::Protocol protocol, int day);
+  /// Resolve an APD candidate prefix for probe_fanout(): the index of
+  /// the zone holding every address under it, kFanoutNoZone when no
+  /// zone does, or kFanoutWalk when zones are nested below the prefix
+  /// (an announced /32 over its /48s), so each address needs its own
+  /// lookup. The universe is immutable, so one code serves the whole
+  /// campaign. Pure and thread-safe.
+  std::int32_t resolve_fanout(const ipv6::Prefix& prefix) const;
+
+  /// APD fan-out of `prefix`, resolved to `zone` by resolve_fanout():
+  /// probe the 16 fan-out addresses of `day` and return how many
+  /// responded — the responded bits of probe(prefix.
+  /// fanout_address_seeded(n, seeds[n]), day.protocol, day.day, n)
+  /// summed over n, for the seeds `day` was built from. Counts 16
+  /// probes sent.
+  unsigned probe_fanout(const ipv6::Prefix& prefix, std::int32_t zone,
+                        const FanoutDay& day);
 
   /// Resolve `a` once at `day`'s rotation epoch. Pure and
   /// thread-safe; the record answers probes for any (day, seq) whose

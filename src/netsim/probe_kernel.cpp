@@ -20,12 +20,12 @@
 namespace v6h::netsim {
 namespace {
 
+using util::kHashSeed;
 using util::splitmix64;
 
 // hash64(a, b, c) == sm(sm(sm(a ^ kHashSeed) ^ b) ^ c) — the kernel
 // factors the shared sm(sm(key ^ seed) ^ x) prefix out of the per-lane
 // hash triple instead of calling hash64 three times.
-constexpr std::uint64_t kHashSeed = 0x517cc1b727220a95ULL;
 
 // node_alive()'s fixed churn survival rate (network_sim.cpp).
 constexpr std::uint64_t kNodeAliveT = unit_threshold(0.82);

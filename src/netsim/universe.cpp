@@ -28,7 +28,7 @@ std::uint64_t Zone::iid_of(std::uint32_t slot, int day) const {
       return (oui << 40) | (0xffULL << 32) | (0xfeULL << 24) | (dev << 16) | idx;
     }
     case AddressingScheme::kRandom:
-      return util::feistel64_encrypt(hash64(key_, 0xE90C, epoch(day)), slot);
+      return iid_rounds(day).encrypt(slot);
     case AddressingScheme::kStructured:
       return ((key_ & 0xffULL) << 32) | (static_cast<std::uint64_t>(idx) + 1);
   }
@@ -91,7 +91,7 @@ std::optional<std::uint32_t> Zone::slot_of(const Address& a, int day) const {
       break;
     }
     case AddressingScheme::kRandom:
-      slot = util::feistel64_decrypt(hash64(key_, 0xE90C, epoch(day)), iid);
+      slot = iid_rounds(day).decrypt(iid);
       break;
     case AddressingScheme::kStructured: {
       const std::uint64_t v = iid & 0xffffffff;

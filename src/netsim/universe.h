@@ -19,6 +19,7 @@
 #include "ipv6/prefix.h"
 #include "ipv6/trie.h"
 #include "net/protocol.h"
+#include "util/rng.h"
 
 namespace v6h::netsim {
 
@@ -95,6 +96,13 @@ class Zone {
   int epoch(int day) const {
     return config_.lifetime_days <= 0 ? 0
                                       : (day + config_.phase) / config_.lifetime_days;
+  }
+
+  /// The kRandom scheme's IID permutation at `day`'s epoch: slot <->
+  /// IID under one Feistel key per (zone, epoch). Callers inverting
+  /// many IIDs of one epoch keep the rounds instead of re-keying.
+  util::FeistelRounds iid_rounds(int day) const {
+    return util::FeistelRounds(util::hash64(key_, 0xE90C, epoch(day)));
   }
 
  private:

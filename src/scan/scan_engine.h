@@ -2,8 +2,9 @@
 
 // The resolved-target scan engine: the daily full-hitlist scan,
 // rebuilt on top of cached probe routing. (The APD fan-out probes
-// fresh addresses every day, so it has nothing to cache and runs
-// through netsim::NetworkSim::probe_fanout instead.)
+// fresh addresses every day; it caches each candidate's zone instead,
+// in apd::AliasDetector's verdict table, and runs through
+// netsim::NetworkSim::resolve_fanout / probe_fanout.)
 //
 // A ScanEngine owns a ResolvedTargetTable aligned with the pipeline's
 // TargetStore rows. Each day it extends the table by the day's new

@@ -49,6 +49,9 @@ class FlatMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Slot count. Entry pointers stay valid while it does not change.
+  std::size_t capacity() const { return slots_.size(); }
+
   /// Drop all entries, keep capacity (steady-state reuse).
   void clear() {
     std::fill(used_.begin(), used_.end(), std::uint8_t{0});

@@ -1,5 +1,7 @@
 // Address parse/format round-trips, prefix semantics, IID helpers.
 
+#include <array>
+#include <cstdio>
 #include <string>
 
 #include "ipv6/address.h"
@@ -77,6 +79,36 @@ static void run_tests() {
   CHECK(p.random_address(9) != p.random_address(10));
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     CHECK(p.contains(p.random_address(seed)));
+  }
+
+  // The 16-lane generator equals fanout_address_seeded lane by lane
+  // for every length 0..128, on random prefixes and the fan-out seeds
+  // of random days.
+  util::Rng lane_trials(0x16a);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::uint64_t seed = lane_trials.next_u64();
+    util::Rng draw(seed);
+    const std::uint64_t day = draw.uniform(400);
+    std::array<std::uint64_t, 16> seeds;
+    for (unsigned n = 0; n < 16; ++n) {
+      seeds[n] = Prefix::fanout_seed(n, util::hash64(day, n, 0xA9D));
+    }
+    const ipv6::FanoutLanes lanes(seeds);
+    const Address base = Address::from_u64(draw.next_u64(), draw.next_u64());
+    for (unsigned length = 0; length <= 128; ++length) {
+      const Prefix prefix(base, static_cast<std::uint8_t>(length));
+      std::array<Address, 16> out;
+      prefix.fanout_addresses(lanes, out);
+      bool same = true;
+      for (unsigned n = 0; n < 16; ++n) {
+        same = same && out[n] == prefix.fanout_address_seeded(n, seeds[n]);
+      }
+      CHECK(same);
+      if (!same) {
+        std::fprintf(stderr, "  fanout_addresses: seed %llu length %u\n",
+                     static_cast<unsigned long long>(seed), length);
+      }
+    }
   }
 
   // IID helpers.

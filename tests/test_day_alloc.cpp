@@ -7,6 +7,9 @@
 // filter, re-filtering the members) are explicitly required in the
 // checked window: verdict application is the most tempting place to
 // allocate, so a window without flips would prove nothing about it.
+// So are days on which new candidates enter the APD verdict table,
+// which resolves each newcomer's zone (NetworkSim::resolve_fanout) on
+// insert.
 //
 // The window runs at the default min_targets and again at
 // min_targets 1, which makes every tracked prefix a candidate: the
@@ -56,10 +59,12 @@ void run_quiet_days(unsigned threads, std::size_t min_targets) {
   const int warmup_days = 2;
   const int total_days = 18;
   std::size_t flips_in_window = 0;
+  std::size_t entry_days_in_window = 0;
   std::size_t responsive_total = 0;
   std::vector<std::uint64_t> day_allocs;
   day_allocs.reserve(static_cast<std::size_t>(total_days));
   for (int d = 0; d < total_days; ++d) {
+    const std::size_t tracked = pipeline.detector().tracked_prefixes();
     const std::uint64_t before = util::allocation_count();
     const auto report = pipeline.run_day(first_day + d);
     responsive_total += report.scan().responsive_any_count();
@@ -67,12 +72,17 @@ void run_quiet_days(unsigned threads, std::size_t min_targets) {
     if (d >= warmup_days) {
       flips_in_window += !pipeline.last_delta().became_aliased.empty() ||
                          !pipeline.last_delta().became_clean.empty();
+      entry_days_in_window +=
+          pipeline.detector().tracked_prefixes() > tracked;
     }
   }
   CHECK(responsive_total > 0);  // the days did real scan work
   // The window must contain at least one verdict-flip day, or the
   // claim below would silently skip the filter-mutation path.
   CHECK(flips_in_window > 0);
+  // And at least one day on which new candidates enter the verdict
+  // table, so resolving their zones on insert is measured too.
+  CHECK(entry_days_in_window > 0);
   for (int d = warmup_days; d < total_days; ++d) {
     const auto allocs = day_allocs[static_cast<std::size_t>(d)];
     CHECK_EQ(allocs, 0u);

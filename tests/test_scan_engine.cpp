@@ -5,11 +5,14 @@
 // privacy addresses across epoch boundaries, and unrouted space — for
 // all protocols, several days, and several seq values. Also covers
 // the ScanEngine address-scan against a per-address probe() loop, the
-// ProbeSchedule budget/retry scenarios, and NetworkSim::probe_fanout
-// (plus the standalone AliasDetector::probe_prefix built on it)
-// against a probe() loop over every class of APD candidate prefix.
+// ProbeSchedule budget/retry scenarios, and the NetworkSim fan-out
+// kernel (resolve_fanout + probe_fanout, plus the standalone
+// AliasDetector::probe_prefix built on it) against a probe() loop over
+// every class of APD candidate prefix and every branch of the kernel.
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
 #include <vector>
 
 #include "apd/apd.h"
@@ -261,8 +264,9 @@ void run_schedule_scenarios() {
 
 // Addresses worth probing inside `p`: live, dead and rotated-away
 // host addresses, carve-out members and random addresses of every
-// zone overlapping `p`, so probe_fanout's predicate sees responders
-// and not only the misses random fan-out addresses mostly produce.
+// zone overlapping `p`. Fan-out addresses almost never hit a live
+// honest host, so prefixes built around these are what reaches the
+// kernel's rare lanes.
 std::vector<ipv6::Address> addresses_under(const netsim::Universe& universe,
                                            const ipv6::Prefix& p, int day,
                                            util::Rng& rng) {
@@ -284,6 +288,70 @@ std::vector<ipv6::Address> addresses_under(const netsim::Universe& universe,
     }
   }
   return out;
+}
+
+// The APD fan-out seeds of `day` (AliasDetector's salts).
+std::array<std::uint64_t, 16> fanout_seeds(int day) {
+  std::array<std::uint64_t, 16> seeds;
+  for (unsigned n = 0; n < 16; ++n) {
+    seeds[n] = ipv6::Prefix::fanout_seed(n, util::hash64(day, n, 0xA9D));
+  }
+  return seeds;
+}
+
+// The probe_fanout branch a resolved prefix takes under `protocol`.
+enum FanoutClass {
+  kNoZone,
+  kWalk,
+  kAliasedLossless,
+  kAliasedLossy,
+  kAliasedCarveout,
+  kAliasedQuic,
+  kLowCounter,
+  kWideCounter,
+  kEui64,
+  kRandom,
+  kStructured,
+  kNodes,
+  kRotating,
+  kClassCount
+};
+
+constexpr const char* kClassNames[kClassCount] = {
+    "no zone",
+    "walk",
+    "aliased lossless",
+    "aliased lossy",
+    "aliased carve-out",
+    "aliased quic",
+    "low counter",
+    "wide counter",
+    "eui64",
+    "random",
+    "structured",
+    "nodes",
+    "rotating",
+};
+
+FanoutClass fanout_class(const netsim::Universe& universe, std::int32_t zone,
+                         const ipv6::Prefix& p, net::Protocol protocol) {
+  if (zone == netsim::NetworkSim::kFanoutNoZone) return kNoZone;
+  if (zone == netsim::NetworkSim::kFanoutWalk) return kWalk;
+  const auto& config = universe.zones()[static_cast<std::size_t>(zone)].config();
+  if (config.aliased) {
+    if (config.carveout &&
+        (config.carveout->contains(p) || p.contains(*config.carveout))) {
+      return kAliasedCarveout;
+    }
+    if (config.quic_flaky && protocol == net::Protocol::kUdp443) {
+      return kAliasedQuic;
+    }
+    return config.loss > 0.0 ? kAliasedLossy : kAliasedLossless;
+  }
+  if (config.kind == netsim::ZoneKind::kNodes) return kNodes;
+  if (config.lifetime_days > 0) return kRotating;
+  return static_cast<FanoutClass>(kLowCounter +
+                                  static_cast<int>(config.scheme));
 }
 
 void run_fanout_equivalence() {
@@ -326,6 +394,7 @@ void run_fanout_equivalence() {
     if (!config.aliased) ++schemes[static_cast<std::size_t>(config.scheme)];
   }
   prefixes.push_back(ipv6::must_parse_prefix("fd00:1234::/48"));
+  prefixes.push_back(ipv6::must_parse_prefix("fd00:1234::1/128"));
   CHECK(lossy > 0);
   CHECK(quic > 0);
   CHECK(nodes > 0);
@@ -335,39 +404,63 @@ void run_fanout_equivalence() {
 
   std::size_t mismatches = 0;
   std::size_t miscounted = 0;
-  std::size_t responded = 0;
   std::size_t full = 0;
+  // Per branch of the kernel: responding and silent lanes seen.
+  std::array<std::size_t, kClassCount> answered{};
+  std::array<std::size_t, kClassCount> silent{};
   util::Rng rng(0xfa4);
   // Days spaced to cross rotation epochs, as in run_probe_equivalence.
   for (const int day : {0, 13, 61, 200}) {
-    for (const auto& p : prefixes) {
-      // Half fan-out addresses, half known addresses under p.
-      const auto known = addresses_under(universe, p, day, rng);
-      std::array<ipv6::Address, 16> addrs;
-      for (unsigned i = 0; i < 16; ++i) {
-        addrs[i] = i < 8 || known.empty()
-                       ? p.fanout_address(i, util::hash64(day, i, 0xA9D))
-                       : known[rng.uniform(known.size())];
-      }
-      for (const auto protocol : net::kAllProtocols) {
-        unsigned expected = 0;
-        for (unsigned i = 0; i < 16; ++i) {
-          expected += reference.probe(addrs[i], protocol, day, i).responded;
+    // Around known addresses, every length from the /32 walk down to
+    // the host: a /124 enumerates all 16 values of its last nybble,
+    // and a /128's fan-out is the host itself, 16 times.
+    std::vector<ipv6::Prefix> around = prefixes;
+    for (std::size_t z = 0; z < universe.zones().size(); z += 2) {
+      const auto known =
+          addresses_under(universe, universe.zones()[z].prefix(), day, rng);
+      for (std::size_t k = 0; k < known.size(); k += 2) {
+        for (const std::uint8_t length : {32, 48, 64, 96, 112, 120, 124, 128}) {
+          around.emplace_back(known[k], length);
         }
+      }
+    }
+    const auto seeds = fanout_seeds(day);
+    for (const auto protocol : net::kAllProtocols) {
+      const netsim::FanoutDay fanout(seeds, day, protocol);
+      for (const auto& p : around) {
+        unsigned expected = 0;
+        for (unsigned n = 0; n < 16; ++n) {
+          expected += reference
+                          .probe(p.fanout_address(n, util::hash64(day, n, 0xA9D)),
+                                 protocol, day, n)
+                          .responded;
+        }
+        const std::int32_t zone = sim.resolve_fanout(p);
         const std::uint64_t sent = sim.probes_sent();
-        const unsigned got =
-            sim.probe_fanout(p, addrs.data(), addrs.size(), protocol, day);
+        const unsigned got = sim.probe_fanout(p, zone, fanout);
         mismatches += got != expected;
         miscounted += sim.probes_sent() - sent != 16;
-        responded += got;
         full += got == 16;
+        const FanoutClass cls = fanout_class(universe, zone, p, protocol);
+        answered[cls] += expected;
+        silent[cls] += 16 - expected;
       }
     }
   }
   CHECK_EQ(mismatches, 0u);
   CHECK_EQ(miscounted, 0u);
-  CHECK(responded > 0);
   CHECK(full > 0);
+  // Every branch of the kernel answered and stayed silent at least
+  // once — a prefix no zone holds only stays silent.
+  CHECK_EQ(answered[kNoZone], 0u);
+  for (int c = 0; c < kClassCount; ++c) {
+    const bool covered = silent[c] > 0 && (c == kNoZone || answered[c] > 0);
+    CHECK(covered);
+    if (!covered) {
+      std::fprintf(stderr, "  fan-out class %s: %zu answered, %zu silent\n",
+                   kClassNames[c], answered[c], silent[c]);
+    }
+  }
 
   // The public single-prefix entry point, with no day batch around it,
   // against the per-address loop over the same fan-out addresses.
@@ -395,6 +488,47 @@ void run_fanout_equivalence() {
     }
   }
   CHECK_EQ(detector_mismatches, 0u);
+
+  // Whole batches through run_day_on_prefixes on a detector whose
+  // verdict table was never reserved: pass 1 grows the table mid-batch,
+  // so the entries it found must be found again. Every on_fanout count
+  // still equals the per-address loop, serially and across workers.
+  struct CountSink : scan::ResultSink {
+    std::vector<unsigned> counts;
+    void on_fanout(const ipv6::Prefix&, unsigned responded, bool) override {
+      counts.push_back(responded);
+    }
+  };
+  std::vector<ipv6::Prefix> distinct = prefixes;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  for (const unsigned threads : {1u, 4u}) {
+    engine::EngineOptions engine_options;
+    engine_options.threads = threads;
+    engine::Engine eng(engine_options);
+    apd::AliasDetector detector(sim, apd::ApdOptions{}, &eng);
+    std::size_t batch_mismatches = 0;
+    for (const int day : {5, 61}) {
+      std::vector<unsigned> expected;
+      for (const auto& p : prefixes) {
+        unsigned responded = 0;
+        for (unsigned n = 0; n < 16; ++n) {
+          responded +=
+              reference
+                  .probe(p.fanout_address(n, util::hash64(day, n, 0xA9D)),
+                         net::Protocol::kIcmp, day, n)
+                  .responded;
+        }
+        expected.push_back(responded);
+      }
+      CountSink sink;
+      const auto out = detector.run_day_on_prefixes(prefixes, day, &sink);
+      batch_mismatches += sink.counts != expected;
+      batch_mismatches += out.probes != 16 * prefixes.size();
+    }
+    CHECK_EQ(batch_mismatches, 0u);
+    CHECK_EQ(detector.tracked_prefixes(), distinct.size());
+  }
 }
 
 void run_tests(const std::vector<unsigned>& thread_counts) {

@@ -4,12 +4,63 @@
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "test_main.h"
+#include "util/rng.h"
 
 using namespace v6h;
 using netsim::Universe;
 using netsim::UniverseParams;
 
+namespace {
+
+// The Feistel permutation in its textbook per-round form, F_r(x) =
+// hash64(key, r, x), which util::FeistelRounds factors.
+std::uint64_t reference_feistel(std::uint64_t key, std::uint64_t value,
+                                bool decrypt) {
+  auto a = static_cast<std::uint32_t>(value >> 32);
+  auto b = static_cast<std::uint32_t>(value);
+  for (int step = 0; step < 4; ++step) {
+    const int round = decrypt ? 3 - step : step;
+    // Encrypt feeds the right half to F, decrypt the left.
+    std::uint32_t& fed = decrypt ? a : b;
+    std::uint32_t& mixed = decrypt ? b : a;
+    const auto f = static_cast<std::uint32_t>(util::hash64(key, round, fed));
+    const std::uint32_t tmp = fed;
+    fed = mixed ^ f;
+    mixed = tmp;
+  }
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+void check_feistel_rounds() {
+  util::Rng trials(0xfe15);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::uint64_t seed = trials.next_u64();
+    util::Rng draw(seed);
+    const std::uint64_t key = draw.next_u64();
+    const util::FeistelRounds rounds(key);
+    bool ok = true;
+    // Full-width values, and host-slot-sized ones as the IID scheme uses.
+    for (const std::uint64_t value : {draw.next_u64(), draw.uniform(4096)}) {
+      const std::uint64_t encrypted = rounds.encrypt(value);
+      ok = ok && encrypted == reference_feistel(key, value, false);
+      ok = ok && rounds.decrypt(value) == reference_feistel(key, value, true);
+      ok = ok && rounds.decrypt(encrypted) == value;
+      ok = ok && util::feistel64_encrypt(key, value) == encrypted;
+      ok = ok && util::feistel64_decrypt(key, encrypted) == value;
+    }
+    CHECK(ok);
+    if (!ok) {
+      std::fprintf(stderr, "  FeistelRounds: seed %llu\n",
+                   static_cast<unsigned long long>(seed));
+    }
+  }
+}
+
+}  // namespace
+
 static void run_tests() {
+  check_feistel_rounds();
+
   UniverseParams params;
   params.scale = 0.05;
   params.tail_as_count = 200;
