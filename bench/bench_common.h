@@ -264,7 +264,7 @@ struct BenchArgs {
     return options;
   }
 
-  /// The sharded execution engine every bench routes its universe
+  /// The parallel execution engine every bench routes its universe
   /// build and pipeline runs through; --threads 1 is the serial path.
   engine::Engine make_engine() const {
     engine::EngineOptions options;

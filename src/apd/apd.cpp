@@ -99,7 +99,6 @@ void AliasDetector::reserve_prefixes(std::size_t max_prefixes) {
   static_assert(sizeof(std::pair<Prefix, VerdictState>) == 48);
   state_.reserve(max_prefixes);
   batch_.reserve(max_prefixes);
-  partition_.order.reserve(max_prefixes);
 }
 
 PrefixOutcome AliasDetector::probe_prefix(const Prefix& prefix, int day) {
@@ -145,14 +144,11 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
         sim_->probe_fanout(prefixes[i], batch_[i].state->zone, fanout);
   };
   if (engine_ != nullptr && engine_->parallel()) {
-    // Batch per top-bits shard: each worker chunk probes one region of
-    // the address space; counts are index-addressed, so the merge
-    // below reads them back in input order regardless of scheduling.
-    engine::shard_partition_into(
-        prefixes.data(), n,
-        [](const Prefix& p) { return engine::shard_first(p); }, partition_);
+    // Chunked by contiguous index: counts are index-addressed, so the
+    // merge below reads them back in input order regardless of
+    // scheduling.
     engine_->parallel_for(n, 4, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) probe(partition_.order[k]);
+      for (std::size_t i = begin; i < end; ++i) probe(i);
     });
   } else {
     for (std::size_t i = 0; i < n; ++i) probe(i);

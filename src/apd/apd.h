@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/shard.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
 #include "net/protocol.h"
@@ -205,8 +204,9 @@ class AliasDetector {
   ///     resolved once, when it first enters the table (a table not
   ///     reserved for the batch may grow here; the entries are then
   ///     found again);
-  ///  2. probe every prefix through its zone code, sharded across the
-  ///     engine workers when one is attached;
+  ///  2. probe every prefix through its zone code, chunked by
+  ///     contiguous index across the engine workers when one is
+  ///     attached;
   ///  3. serially, in input order, update the windows through the
   ///     entries pass 1 found (one table lookup per prefix per day),
   ///     and fill `out` with the prefixes currently judged aliased
@@ -270,10 +270,8 @@ class AliasDetector {
 
   // Per-day scratch, reused across calls. Workers only read
   // batch_[i].state and write disjoint index-addressed
-  // batch_[i].responded between dispatch and the pool barrier;
-  // partition_ is coordinator-only.
+  // batch_[i].responded between dispatch and the pool barrier.
   std::vector<Probed> batch_;
-  engine::ShardPartition partition_;
 };
 
 }  // namespace v6h::apd

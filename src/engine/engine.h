@@ -1,6 +1,6 @@
 #pragma once
 
-// Sharded parallel execution engine for the daily pipeline: a
+// Parallel execution engine for the daily pipeline: a
 // work-stealing ThreadPool plus the deterministic parallel_for every
 // pipeline stage (source draws, APD fan-out, protocol scans, alias
 // filtering, universe construction) is routed through.

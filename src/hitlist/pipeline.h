@@ -29,18 +29,17 @@
 
 #include "apd/apd.h"
 #include "engine/engine.h"
-#include "engine/shard.h"
 #include "hitlist/day_scratch.h"
 #include "hitlist/target_store.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
-#include "ipv6/trie.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "scan/probe_schedule.h"
 #include "scan/scan_engine.h"
 #include "scan/scan_frame.h"
 #include "sources/sources.h"
+#include "util/flat_hash.h"
 
 namespace v6h::obs {
 class Observability;
@@ -63,29 +62,38 @@ struct PipelineOptions {
   obs::Observability* obs = nullptr;
 };
 
-/// The APD verdict set as a queryable filter. Prefixes are
-/// partitioned by top bits into per-shard tries (a prefix shorter
-/// than the shard width is replicated into every shard it overlaps),
-/// so batched filtering can run shard-local on the engine workers.
-/// Mutable in place: the pipeline applies each day's verdict
-/// transitions as insert/remove instead of rebuilding the tries.
+/// The APD verdict set as a queryable filter. APD only ever marks
+/// candidate prefixes aliased, and candidates sit at a handful of
+/// lengths (the announced prefix and the /48, /64, /96 and /112
+/// levels), so "is this address inside an aliased prefix?" is an
+/// exact-set question over at most a few lengths: is_aliased masks
+/// the address to each length present in the set and probes one hash
+/// table per length (binary search on prefix lengths reduced to hash
+/// probes, Waldvogel et al., SIGCOMM 1997). Mutable in place: the
+/// pipeline applies each day's verdict transitions as insert/remove.
+///
+/// The member table never erases: remove clears the prefix's flag, so
+/// the table stays tombstone-free and holds every prefix ever
+/// inserted. A per-length count of live prefixes keeps the probe list
+/// to the lengths that can still answer.
 ///
 /// Thread discipline: insert/remove run only on the coordinator
-/// thread between parallel phases; during is_aliased_many the tries
-/// are read-only and each worker walks its own shard's trie, so the
-/// only shared write is the caller-provided output column, which is
-/// index-addressed and disjoint per chunk.
+/// thread between parallel phases; during is_aliased_many the table
+/// and the length list are read-only, and the only shared write is
+/// the caller-provided output column, which is index-addressed and
+/// disjoint per chunk.
 class AliasFilter {
  public:
   AliasFilter() = default;
 
-  /// Pre-size the sorted membership list and the per-shard tries so
-  /// day-loop inserts never grow a container: `max_prefixes` bounds
-  /// the aliased set, `max_trie_nodes` the node arena of each shard's
-  /// trie (path compression is absent, so budget ~ the deepest
-  /// prefix length for the first insert in a region plus a short
-  /// marginal tail for each further prefix; the counting-allocator
-  /// test fails loudly if a campaign outgrows the budget).
+  /// Pre-size the sorted membership list and the member table for
+  /// `max_prefixes` prefixes so day-loop inserts never grow a
+  /// container (the member table keeps removed prefixes, so the bound
+  /// must cover every prefix ever inserted; see the Pipeline
+  /// constructor). `max_trie_nodes` is unused: it sized the node
+  /// arena of the tries the filter used to hold. The argument stays
+  /// for perfbench's copy of the day loop (TracedAssembly), which
+  /// calls this signature until ROADMAP item 1 deletes that copy.
   void reserve(std::size_t max_prefixes, std::size_t max_trie_nodes);
 
   /// Add `prefix` to the aliased set (no-op when present).
@@ -95,15 +103,16 @@ class AliasFilter {
   void remove(const ipv6::Prefix& prefix);
 
   bool is_aliased(const ipv6::Address& a) const {
-    // `any_` hoists the old per-call trie emptiness test out of the
-    // hot loop; an empty filter answers without touching a trie.
-    return any_ && tries_[engine::shard_of(a)].longest_match(a) != nullptr;
+    for (std::size_t i = 0; i < length_count_; ++i) {
+      const bool* live = members_.find(ipv6::Prefix(a, lengths_[i]));
+      if (live != nullptr && *live) return true;
+    }
+    return false;
   }
 
-  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), computed in
-  /// same-shard runs via PrefixTrie::longest_match_many and sharded
-  /// across the engine workers when one is given. Output order is the
-  /// input order for any thread count.
+  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), chunked by
+  /// contiguous index across the engine workers when one is given.
+  /// Output order is the input order for any thread count.
   void is_aliased_many(const ipv6::Address* in, std::size_t count,
                        std::vector<char>* aliased,
                        engine::Engine* engine = nullptr) const;
@@ -113,14 +122,19 @@ class AliasFilter {
 
  private:
   std::vector<ipv6::Prefix> prefixes_;
-  bool any_ = false;
-  std::array<ipv6::PrefixTrie<bool>, engine::kShardCount> tries_;
+  // Every prefix ever inserted; the flag says whether it is live.
+  util::FlatMap<ipv6::Prefix, bool, ipv6::PrefixHash> members_;
+  // Live prefixes per length, and the lengths with a nonzero count
+  // (the first length_count_ entries, in no particular order).
+  std::array<std::uint32_t, 129> live_per_length_{};
+  std::array<std::uint8_t, 129> lengths_{};
+  std::size_t length_count_ = 0;
 };
 
 class Pipeline {
  public:
   /// With an engine, the collect draws, APD fan-out, alias filtering,
-  /// and protocol scans of each day run sharded on its workers; a
+  /// and protocol scans of each day run chunked on its workers; a
   /// null engine (or --threads 1) is the serial path. Output is
   /// byte-identical either way (tests/test_engine_equivalence.cpp).
   Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
@@ -148,7 +162,7 @@ class Pipeline {
     return store_.addresses();
   }
 
-  /// Columnar per-target state (first-seen day, aliased flag, shard).
+  /// Columnar per-target state (first-seen day, aliased flag).
   const TargetStore& store() const { return store_; }
 
   /// What the most recent run_day changed.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "engine/shard.h"
-
 namespace v6h::hitlist {
 
 using ipv6::Address;
@@ -36,7 +34,6 @@ void TargetStore::reserve(std::size_t max_rows) {
   addresses_.reserve(max_rows);
   first_seen_.reserve(max_rows);
   aliased_.reserve(max_rows);
-  shards_.reserve(max_rows);
   index_.reserve(max_rows);
   // Every row lives in exactly one run or the tail, so the arena and
   // the merge scratch are both bounded by the row count; the span
@@ -60,7 +57,6 @@ bool TargetStore::insert(const Address& a, int day) {
   addresses_.push_back(a);
   first_seen_.push_back(day);
   aliased_.push_back(0);
-  shards_.push_back(static_cast<std::uint8_t>(engine::shard_of(a)));
 
   tail_.push_back(Entry{a, row});
   if (tail_.size() < kTailLimit) return true;

@@ -3,9 +3,8 @@
 // Columnar (struct-of-arrays) backing store for the cumulative
 // hitlist — the shared substrate of the delta-driven day loop. One
 // row per unique address, in first-seen order; the columns the day
-// stages need (first-seen day, current aliased verdict, top-bits
-// shard) live in their own dense arrays so a stage touches only the
-// bytes it reads.
+// stages need (first-seen day, current aliased verdict) live in
+// their own dense arrays so a stage touches only the bytes it reads.
 //
 // First-seen dedup runs on a flat hash index; the "all targets inside
 // this prefix" range queries run on sorted-run blocks: appended rows
@@ -71,7 +70,6 @@ class TargetStore {
   const ipv6::Address& address(std::size_t row) const { return addresses_[row]; }
   int first_seen_day(std::size_t row) const { return first_seen_[row]; }
   bool aliased(std::size_t row) const { return aliased_[row] != 0; }
-  std::uint8_t shard(std::size_t row) const { return shards_[row]; }
 
   /// Flip a row's aliased verdict. The incremental unaliased-row
   /// index records the flip (rows not yet indexed are swept up by the
@@ -130,7 +128,6 @@ class TargetStore {
   std::vector<ipv6::Address> addresses_;
   std::vector<std::int32_t> first_seen_;
   std::vector<char> aliased_;
-  std::vector<std::uint8_t> shards_;
   util::FlatMap<ipv6::Address, std::uint32_t, ipv6::AddressHash> index_;
   // Ordered index: geometric sorted runs in one arena + an unsorted
   // recent tail. merge_scratch_ is the reused merge buffer (adjacent

@@ -2,9 +2,8 @@
 
 // Binary longest-prefix-match trie over IPv6 prefixes. Nodes live in
 // a flat vector (index links), so tries copy cheaply with their owner
-// (BGP table, alias filter).
+// (BGP table, universe zones).
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -19,21 +18,6 @@ class PrefixTrie {
  public:
   PrefixTrie() { nodes_.emplace_back(); }
 
-  /// Pre-size for `nodes` trie nodes and `values` live values so
-  /// subsequent inserts never allocate (day-loop zero-alloc
-  /// contract). The value store is a deque (pointer stability), which
-  /// cannot reserve — so this pre-populates it with default values
-  /// parked on the freelist; inserts then always pop a slot instead
-  /// of pushing.
-  void reserve(std::size_t nodes, std::size_t values) {
-    nodes_.reserve(nodes);
-    free_slots_.reserve(std::max(values, values_.size()));
-    while (values_.size() < values) {
-      free_slots_.push_back(static_cast<std::int32_t>(values_.size()));
-      values_.push_back(T{});
-    }
-  }
-
   void insert(const Prefix& prefix, T value) {
     std::size_t node = 0;
     for (unsigned depth = 0; depth < prefix.length(); ++depth) {
@@ -45,39 +29,18 @@ class PrefixTrie {
       node = static_cast<std::size_t>(nodes_[node].child[bit]);
     }
     if (nodes_[node].value < 0) {
-      if (free_slots_.empty()) grow_values();
-      nodes_[node].value = free_slots_.back();
-      free_slots_.pop_back();
-      ++live_;
+      nodes_[node].value = static_cast<std::int32_t>(values_.size());
+      values_.push_back(std::move(value));
+    } else {
+      values_[static_cast<std::size_t>(nodes_[node].value)] = std::move(value);
     }
-    values_[static_cast<std::size_t>(nodes_[node].value)] = std::move(value);
-  }
-
-  /// Unlink `prefix`'s value; returns false when that exact prefix is
-  /// not present. Interior nodes stay (lookups never see them), the
-  /// value slot goes on a freelist for the next insert — the alias
-  /// filter flips prefixes in and out daily, so erase must not leak.
-  bool erase(const Prefix& prefix) {
-    std::size_t node = 0;
-    for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-      const unsigned bit = prefix.address().bit(depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[bit];
-      if (next < 0) return false;
-      node = static_cast<std::size_t>(next);
-    }
-    if (nodes_[node].value < 0) return false;
-    values_[static_cast<std::size_t>(nodes_[node].value)] = T{};
-    free_slots_.push_back(nodes_[node].value);
-    nodes_[node].value = -1;
-    --live_;
-    return true;
   }
 
   /// A position part-way down the trie, for many lookups under one
   /// prefix: the node seek() stopped at, its depth, and the best
   /// value on the path down to it. node < 0 means the walk cannot go
   /// deeper, so `best` already answers every address under the
-  /// prefix. Valid until the next insert or erase.
+  /// prefix. Valid until the next insert.
   struct Cursor {
     std::int32_t node = -1;
     std::int32_t best = -1;
@@ -124,16 +87,6 @@ class PrefixTrie {
     return longest_match_from(seek(Prefix()), a);
   }
 
-  /// Batched longest_match over a contiguous address array:
-  /// results[i] = longest_match(addrs[i]). One call per same-shard run
-  /// keeps the hot upper trie levels cached across the whole batch.
-  void longest_match_many(const Address* addrs, std::size_t count,
-                          const T** results) const {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = longest_match(addrs[i]);
-    }
-  }
-
   /// Exact-prefix lookup, or nullptr if that exact prefix was never inserted.
   const T* exact_match(const Prefix& prefix) const {
     std::size_t node = 0;
@@ -147,19 +100,10 @@ class PrefixTrie {
     return v < 0 ? nullptr : &values_[static_cast<std::size_t>(v)];
   }
 
-  std::size_t size() const { return live_; }
-  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return values_.size(); }
+  bool empty() const { return values_.empty(); }
 
  private:
-  // The only value-store allocation site, isolated out of line so
-  // tools/symlint.py can allowlist it by name (the deque's push
-  // machinery must never appear under a lint root directly): a
-  // reserve()d trie pops the freelist instead and never gets here.
-  [[gnu::noinline]] void grow_values() {
-    free_slots_.push_back(static_cast<std::int32_t>(values_.size()));
-    values_.push_back(T{});
-  }
-
   struct Node {
     std::int32_t child[2] = {-1, -1};
     std::int32_t value = -1;
@@ -168,8 +112,6 @@ class PrefixTrie {
   // deque, not vector: vector<bool>'s proxy references would break the
   // pointer-returning lookups.
   std::deque<T> values_;
-  std::vector<std::int32_t> free_slots_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace v6h::ipv6

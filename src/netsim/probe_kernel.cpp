@@ -3,19 +3,16 @@
 #include <algorithm>
 
 #include "netsim/network_sim.h"
+#include "util/lane_clones.h"
 #include "util/rng.h"
 
 // The dense loops live in one function compiled twice: an AVX2 clone
 // (GCC synthesizes the 64-bit splitmix multiplies from 32-bit ymm
 // lanes) and the baseline encoding, dispatched once at load time via
-// the target_clones ifunc. Both clones run the same exact integer and
-// exactly-rounded double operations, so they are bit-identical to
-// each other and to the scalar path on any CPU.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define V6H_PROBE_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define V6H_PROBE_KERNEL_CLONES
-#endif
+// the target_clones ifunc (V6H_PROBE_KERNEL_CLONES, util/lane_clones.h).
+// Both clones run the same exact integer and exactly-rounded double
+// operations, so they are bit-identical to each other and to the
+// scalar path on any CPU.
 
 namespace v6h::netsim {
 namespace {

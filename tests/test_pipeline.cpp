@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "engine/shard.h"
 #include "hitlist/pipeline.h"
 #include "hitlist/stats.h"
 #include "test_main.h"
@@ -116,7 +115,6 @@ void run_tests() {
     CHECK(store.address(row) == pipeline.targets()[row]);
     CHECK(store.first_seen_day(row) >= 268 && store.first_seen_day(row) <= 270);
     CHECK_EQ(store.aliased(row), filter.is_aliased(store.address(row)));
-    CHECK_EQ(store.shard(row), engine::shard_of(store.address(row)));
   }
 
   // Prefix range queries find exactly the contained rows.

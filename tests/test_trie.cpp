@@ -58,79 +58,6 @@ static void run_tests() {
   m = sparse.longest_match(ipv6::must_parse("2620:0:2d0:8000::1"));
   CHECK(m != nullptr && *m == 1);
 
-  // Erase: the alias filter flips prefixes out of its tries in place.
-  {
-    PrefixTrie<int> t;
-    t.insert(ipv6::must_parse_prefix("2001:db8::/32"), 32);
-    t.insert(ipv6::must_parse_prefix("2001:db8:1::/48"), 48);
-    CHECK_EQ(t.size(), 2u);
-    CHECK(t.erase(ipv6::must_parse_prefix("2001:db8:1::/48")));
-    CHECK_EQ(t.size(), 1u);
-    // Lookups fall back to the surviving covering prefix...
-    const int* e = t.longest_match(ipv6::must_parse("2001:db8:1::9"));
-    CHECK(e != nullptr && *e == 32);
-    // ...and the exact erased prefix is gone.
-    CHECK(t.exact_match(ipv6::must_parse_prefix("2001:db8:1::/48")) == nullptr);
-    // Erasing what is absent (never inserted, or already erased) is a
-    // reported no-op, even when the erased path exists in the trie.
-    CHECK(!t.erase(ipv6::must_parse_prefix("2001:db8:1::/48")));
-    CHECK(!t.erase(ipv6::must_parse_prefix("2001:db8:1::/64")));
-    CHECK(!t.erase(ipv6::must_parse_prefix("fe80::/10")));
-    CHECK_EQ(t.size(), 1u);
-    // Re-insert after erase reuses the freed slot and works.
-    t.insert(ipv6::must_parse_prefix("2001:db8:1::/48"), 4800);
-    CHECK_EQ(t.size(), 2u);
-    e = t.longest_match(ipv6::must_parse("2001:db8:1::9"));
-    CHECK(e != nullptr && *e == 4800);
-    // Erasing everything empties the trie.
-    CHECK(t.erase(ipv6::must_parse_prefix("2001:db8:1::/48")));
-    CHECK(t.erase(ipv6::must_parse_prefix("2001:db8::/32")));
-    CHECK(t.empty());
-    CHECK(t.longest_match(ipv6::must_parse("2001:db8::1")) == nullptr);
-  }
-
-  // Randomized insert/erase agreement with a brute-force scan.
-  {
-    util::Rng erng(7);
-    PrefixTrie<int> t;
-    std::vector<std::pair<Prefix, int>> live;
-    for (int round = 0; round < 2000; ++round) {
-      const Address a = Address::from_u64(
-          0x2000000000000000ULL | (erng.next_u64() >> 4), erng.next_u64());
-      const Prefix p(a, static_cast<std::uint8_t>(24 + erng.uniform(41)));
-      if (erng.uniform(3) != 0 || live.empty()) {
-        t.insert(p, round);
-        bool replaced = false;
-        for (auto& [lp, lv] : live) {
-          if (lp == p) { lv = round; replaced = true; break; }
-        }
-        if (!replaced) live.emplace_back(p, round);
-      } else {
-        const auto victim = live.begin() + erng.uniform(live.size());
-        CHECK(t.erase(victim->first));
-        live.erase(victim);
-      }
-      CHECK_EQ(t.size(), live.size());
-    }
-    for (int i = 0; i < 200; ++i) {
-      const Address probe = Address::from_u64(
-          0x2000000000000000ULL | (erng.next_u64() >> 4), erng.next_u64());
-      int best_len = -1, best_value = -1;
-      for (const auto& [p, value] : live) {
-        if (p.contains(probe) && static_cast<int>(p.length()) > best_len) {
-          best_len = p.length();
-          best_value = value;
-        }
-      }
-      const int* found = t.longest_match(probe);
-      if (best_len < 0) {
-        CHECK(found == nullptr);
-      } else {
-        CHECK(found != nullptr && *found == best_value);
-      }
-    }
-  }
-
   // Randomized agreement with a brute-force scan.
   util::Rng rng(99);
   std::vector<std::pair<Prefix, int>> inserted;

@@ -66,11 +66,9 @@ traversal:
    banned symbol exists, the runtime tests prove the growth routes go
    quiet.
 
- * The project's own capacity-elastic growth members, under the same
+ * The project's own capacity-elastic growth member, under the same
    policy: FlatMap/FlatSet::rehash (the flat tables' ONLY allocation
-   site — grow() and reserve() both route through it) and
-   PrefixTrie::reserve/grow_values (the trie value deque's only push
-   sites; a reserve()d trie pops its freelist instead). Only the
+   site — grow() and reserve() both route through it). Only the
    named growth member is cut: an unexpected banned symbol anywhere
    else in those containers still trips.
 
@@ -105,10 +103,9 @@ GROWTH_ALLOWLIST = [
     r"fill_assign|fill_insert|assign_aux|range_insert|insert_aux|"
     r"emplace_back_aux|append)\s*[<(]",
     r"\bstd::vector<.*>::reserve\(",
-    # The project's own capacity-elastic growth members. Template
+    # The project's own capacity-elastic growth member. Template
     # members demangle with a leading return type, hence \b anchors.
     r"\bv6h::util::Flat(Map|Set)<.*>::rehash\(",
-    r"\bv6h::ipv6::PrefixTrie<.*>::(reserve|grow_values)\(",
 ]
 
 
