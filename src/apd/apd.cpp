@@ -170,7 +170,6 @@ void AliasDetector::run_day_on_prefixes(const std::vector<Prefix>& prefixes,
     if (current != previous) {
       (current ? out.became_aliased : out.became_clean).push_back(prefix);
     }
-    if (current) out.aliased.push_back(prefix);
     if (sink != nullptr) {
       sink->on_fanout(prefix, responded, current);
     }

@@ -55,7 +55,6 @@ struct PrefixOutcome {
 };
 
 struct DayOutcome {
-  std::vector<ipv6::Prefix> aliased;  // windowed verdicts, this batch
   std::uint64_t probes = 0;
   // Verdict transitions relative to the effective previous verdict (a
   // never-probed prefix counts as clean), in batch order. These are
@@ -65,7 +64,6 @@ struct DayOutcome {
   std::vector<ipv6::Prefix> became_clean;
 
   void clear() {
-    aliased.clear();
     probes = 0;
     became_aliased.clear();
     became_clean.clear();
@@ -209,14 +207,13 @@ class AliasDetector {
   ///     attached;
   ///  3. serially, in input order, update the windows through the
   ///     entries pass 1 found (one table lookup per prefix per day),
-  ///     and fill `out` with the prefixes currently judged aliased
-  ///     plus the verdict delta.
+  ///     and fill `out` with the verdict delta.
   /// `out`'s vectors are cleared and refilled (capacity retained), so
   /// a reused DayOutcome makes a warm APD day allocation-free. The
   /// fan-out counters stream through `sink` when one is given —
   /// ResultSink::on_fanout(prefix, responded, windowed verdict) fires
-  /// serially in batch order, so a streaming consumer sees exactly
-  /// what DayOutcome materializes.
+  /// serially in batch order, so a streaming consumer sees every
+  /// prefix's verdict, not only the changes DayOutcome keeps.
   void run_day_on_prefixes(const std::vector<ipv6::Prefix>& prefixes, int day,
                            scan::ResultSink* sink, DayOutcome& out);
 

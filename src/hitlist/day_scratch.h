@@ -2,7 +2,7 @@
 
 // Reusable per-day scratch for Pipeline::run_day — the buffers the
 // day loop refills instead of reallocating: the APD day outcome
-// (verdict lists + transition delta), the re-filter's verdict column
+// (the verdict transition delta), the re-filter's verdict column
 // for the day's new rows, and the affected-row list of flipped
 // prefixes. Owned by the Pipeline, cleared and refilled once per
 // run_day; with the constructor's campaign-bound reserve, a warm day
@@ -35,9 +35,8 @@ struct DayScratch {
   std::vector<std::uint32_t> affected;
 
   /// Front-load every buffer to its campaign bound: `max_rows` bounds
-  /// the re-filter columns, `max_prefixes` the APD verdict lists.
+  /// the re-filter columns, `max_prefixes` the APD transition lists.
   void reserve(std::size_t max_rows, std::size_t max_prefixes) {
-    outcome.aliased.reserve(max_prefixes);
     outcome.became_aliased.reserve(max_prefixes);
     outcome.became_clean.reserve(max_prefixes);
     aliased.reserve(max_rows);

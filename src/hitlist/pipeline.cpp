@@ -184,9 +184,8 @@ Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
     // flags start clean) and the members of flipped prefixes — a row
     // outside every flipped prefix keeps yesterday's longest match.
     // Overlap between the two sets is harmless: both assign the same
-    // freshly-computed verdict. Removes run first so the tries' freed
-    // value slots feed the inserts (the sets are disjoint, so the
-    // order cannot change the resulting filter).
+    // freshly-computed verdict. The two transition sets are disjoint,
+    // so the order of removes and inserts cannot change the filter.
     for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
     for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
     filter_.is_aliased_many(store_.addresses().data() + delta_.first_new_row,

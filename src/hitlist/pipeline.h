@@ -9,9 +9,11 @@
 // verdict transitions to a persistent alias filter in place, and
 // re-filters only the new rows plus the members of flipped prefixes.
 //
-// The daily protocol scan and the APD fan-out run on the resolved
-// scan engine: a persistent per-row resolution cache extended by each
-// DayDelta answers every probe without universe lookups.
+// The daily protocol scan runs on the resolved scan engine: a
+// persistent per-row resolution cache extended by each DayDelta
+// answers every probe without universe lookups. The APD fan-out
+// probes fresh addresses every day, so it caches each candidate
+// prefix's zone instead, in the detector's verdict table.
 //
 // tests/reference_model.{h,cpp} replays the same campaign naively —
 // full recount, per-probe fan-out, full re-filter, per-probe scan —

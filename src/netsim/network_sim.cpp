@@ -17,42 +17,6 @@ constexpr std::uint8_t kWscales[] = {0, 2, 7, 8, 14};
 constexpr std::uint16_t kMsses[] = {1220, 1380, 1440, 8940};
 constexpr std::uint16_t kWsizes[] = {14600, 28800, 29200, 64240, 65535};
 
-// The static half of the machine image: every field probe() derives
-// from the machine identity alone. The timestamp clock is kept as
-// (hz, offset) so tsval at time t is one multiply-add; hz == 0 means
-// timestamps disabled. Shared by the per-address probe() path and the
-// resolution cache so the two can never drift apart.
-void fill_machine_image(std::uint64_t machine, bool timestamps,
-                        ResolvedTarget* out) {
-  out->ittl = kIttls[hash64(machine, 0x17) % 5];
-  out->wscale = kWscales[hash64(machine, 0x2C) % 5];
-  out->mss = kMsses[hash64(machine, 0x35) % 4];
-  out->wsize = kWsizes[hash64(machine, 0x47) % 5];
-  out->options_id = static_cast<std::uint8_t>(hash64(machine, 0x59) % 6);
-  if (timestamps) {
-    static constexpr std::uint32_t kHz[] = {100, 250, 1000};
-    out->ts_hz = kHz[hash64(machine, 0x63) % 3];
-    out->ts_offset = static_cast<std::uint32_t>(hash64(machine, 0x71));
-  } else {
-    out->ts_hz = 0;
-    out->ts_offset = 0;
-  }
-}
-
-// Copy a cached image into a ProbeResult at probe time `t`.
-void emit_machine(const ResolvedTarget& r, std::uint64_t t, ProbeResult* out) {
-  out->ittl = r.ittl;
-  out->wscale = r.wscale;
-  out->mss = r.mss;
-  out->wsize = r.wsize;
-  out->options_id = r.options_id;
-  out->has_timestamp = r.ts_hz != 0;
-  if (r.ts_hz != 0) {
-    out->tsval = r.ts_offset + r.ts_hz * static_cast<std::uint32_t>(t);
-  }
-  out->ttl = r.ttl;
-}
-
 // Per-day transient availability shared across protocols so that
 // cross-protocol responsiveness stays correlated (Figure 7). The
 // stability threshold lives in ZoneProbeParams.
@@ -99,17 +63,29 @@ bool aliased_at(const ZoneConfig& config, const Address& a) {
   return config.aliased && !(config.carveout && config.carveout->contains(a));
 }
 
-// The full machine image of a responding address: aliased addresses
-// (keyed by `addr_hash`) or a live honest host `slot`. Shared by
-// resolve() and probe(), so the cached and per-call images are the
-// same code.
+// The machine image of a responding address at probe time `t`:
+// aliased space (keyed by `addr_hash`) answers as its zone's one
+// machine, an honest host `slot` as its zone's machine too unless the
+// zone is diverse. Only probe() reports it; the scan and the fan-out
+// need the response predicate alone.
 void fill_image(const Zone& zone, bool aliased, std::uint32_t slot,
-                std::uint64_t addr_hash, ResolvedTarget* out) {
+                std::uint64_t addr_hash, std::uint64_t t, ProbeResult* out) {
   const ZoneConfig& config = zone.config();
-  const bool timestamps = config.uniformity != UniformityMode::kUniformNoTs;
+  const bool diverse = !aliased && config.uniformity == UniformityMode::kDiverse;
+  const std::uint64_t machine = diverse ? hash64(zone.key(), slot, 0x3A) : zone.key();
+  out->ittl = kIttls[hash64(machine, 0x17) % 5];
+  out->wscale = kWscales[hash64(machine, 0x2C) % 5];
+  out->mss = kMsses[hash64(machine, 0x35) % 4];
+  out->wsize = kWsizes[hash64(machine, 0x47) % 5];
+  out->options_id = static_cast<std::uint8_t>(hash64(machine, 0x59) % 6);
+  if (config.uniformity != UniformityMode::kUniformNoTs) {
+    static constexpr std::uint32_t kHz[] = {100, 250, 1000};
+    out->has_timestamp = true;
+    out->tsval = static_cast<std::uint32_t>(hash64(machine, 0x71)) +
+                 kHz[hash64(machine, 0x63) % 3] * static_cast<std::uint32_t>(t);
+  }
   unsigned hops = 6 + static_cast<unsigned>(hash64(zone.key(), 0xB0) % 18);
   if (aliased) {
-    fill_machine_image(zone.key(), timestamps, out);
     if (config.proxy_wsize) {
       // A TCP proxy terminates each flow with its own window.
       out->wsize = static_cast<std::uint16_t>(
@@ -118,22 +94,20 @@ void fill_image(const Zone& zone, bool aliased, std::uint32_t slot,
     // Path length varies behind ~30 % of aliased prefixes (the raw-TTL
     // inconsistency the iTTL normalization removes).
     if (hash_unit(zone.key(), 0xB1) < 0.3 && (addr_hash & 1) != 0) ++hops;
-  } else {
-    const bool uniform = config.uniformity != UniformityMode::kDiverse;
-    fill_machine_image(uniform ? zone.key() : hash64(zone.key(), slot, 0x3A),
-                       timestamps, out);
-    if (!uniform) hops += static_cast<unsigned>(hash64(zone.key(), slot, 0xB2) % 3);
+  } else if (diverse) {
+    hops += static_cast<unsigned>(hash64(zone.key(), slot, 0xB2) % 3);
   }
   out->ttl = static_cast<std::uint8_t>(out->ittl - hops);
 }
 
-// The day/seq-dependent half of probe(): does a resolved row answer
+// The day/seq-dependent half of the response predicate: does aliased
+// space (keyed by `addr_hash`) or the live honest host `slot` answer
 // this particular probe? The caller has already checked the service
-// mask, so `zp` is valid and the row is aliased or a live slot.
-bool resolved_responds(const ZoneProbeParams& zp, std::uint8_t flags,
-                       std::uint32_t slot, std::uint64_t addr_hash,
-                       net::Protocol protocol, int day, unsigned seq) {
-  if (flags & ResolvedTarget::kAliased) {
+// mask, so `zp` is valid.
+bool day_responds(const ZoneProbeParams& zp, bool aliased, std::uint32_t slot,
+                  std::uint64_t addr_hash, net::Protocol protocol, int day,
+                  unsigned seq) {
+  if (aliased) {
     if (zp.loss > 0.0 &&
         hash_unit(zp.key, addr_hash,
                   hash64(day, seq, net::index_of(protocol))) < zp.loss) {
@@ -179,17 +153,16 @@ inline Answer answer(const Zone& zone, const ZoneProbeParams& zp,
   const ZoneConfig& config = zone.config();
   if (aliased_at(config, a)) {
     out.aliased = true;
-    out.addr_hash = hash64(a.hi, a.lo, 0xAD);
+    out.addr_hash = NetworkSim::alias_hash(a);
     out.responded = net::responds_to(config.machine_service, protocol) &&
-                    resolved_responds(zp, ResolvedTarget::kAliased, 0,
-                                      out.addr_hash, protocol, day, seq);
+                    day_responds(zp, true, 0, out.addr_hash, protocol, day, seq);
     return out;
   }
   const auto slot = zone.slot_of(a, day);
   if (!slot || *slot >= config.host_count) return out;
   out.slot = *slot;
   out.responded = net::responds_to(host_service_mask(zone, *slot), protocol) &&
-                  resolved_responds(zp, 0, *slot, 0, protocol, day, seq);
+                  day_responds(zp, false, *slot, 0, protocol, day, seq);
   return out;
 }
 
@@ -258,7 +231,7 @@ unsigned fanout_aliased(const ZoneConfig& config, const ZoneProbeParams& zp,
     // A carve-out member takes answer()'s honest branch, where an
     // aliased zone never inverts a slot: silent.
     if (carveout != nullptr && carveout->contains(a)) continue;
-    const std::uint64_t keyed = splitmix64(zp.key_head ^ hash64(a.hi, a.lo, 0xAD));
+    const std::uint64_t keyed = splitmix64(zp.key_head ^ NetworkSim::alias_hash(a));
     if (lossy && util::to_unit(splitmix64(keyed ^ fd.loss_salt[n])) < zp.loss) {
       continue;
     }
@@ -336,14 +309,12 @@ NetworkSim::NetworkSim(const Universe& universe) : universe_(&universe) {
 
 ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   ResolvedTarget r;
-  r.addr_hash = hash64(a.hi, a.lo, 0xAD);
   const Zone* zone = universe_->zone_at(a);
   if (zone == nullptr) return r;  // unrouted: service_mask 0, never answers
   r.zone = zone_index(*universe_, *zone);
   if (aliased_at(zone->config(), a)) {
     r.flags |= ResolvedTarget::kAliased;
     r.service_mask = zone->config().machine_service;
-    fill_image(*zone, /*aliased=*/true, 0, r.addr_hash, &r);
     return r;
   }
 
@@ -352,21 +323,19 @@ ResolvedTarget NetworkSim::resolve(const Address& a, int day) const {
   r.epoch = zone->epoch(day);
   const auto slot = zone->slot_of(a, day);
   if (!slot || *slot >= zone->config().host_count) return r;  // dead address
-  r.flags |= ResolvedTarget::kLiveSlot;
   r.slot = *slot;
   r.service_mask = host_service_mask(*zone, *slot);
-  fill_image(*zone, /*aliased=*/false, *slot, 0, &r);
   return r;
 }
 
 ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
                               unsigned seq) {
-  // The reference path: re-derive everything per call, filling the
-  // machine image only after the probe is known to answer. The
-  // predicate is shared with probe_fanout(), the image with resolve(),
-  // and the day/seq rolls with probe_resolved, so the paths cannot
-  // drift apart. All probes_sent_ updates are relaxed: pure count, no
-  // data published through it (invariant at the declaration).
+  // The per-address path: re-derive everything per call, filling the
+  // machine image only after the probe is known to answer. answer()
+  // is shared with probe_fanout(), and resolve() caches the same
+  // address-only tests, so the paths cannot drift apart. All
+  // probes_sent_ updates are relaxed: pure count, no data published
+  // through it (invariant at the declaration).
   probes_sent_.fetch_add(1, std::memory_order_relaxed);
   ProbeResult out;
   const Zone* zone = universe_->zone_at(a);
@@ -375,9 +344,8 @@ ProbeResult NetworkSim::probe(const Address& a, net::Protocol protocol, int day,
                             a, protocol, day, seq);
   if (!hit.responded) return out;
   out.responded = true;
-  ResolvedTarget image;
-  fill_image(*zone, hit.aliased, hit.slot, hit.addr_hash, &image);
-  emit_machine(image, probe_time(day, seq), &out);
+  fill_image(*zone, hit.aliased, hit.slot, hit.addr_hash, probe_time(day, seq),
+             &out);
   return out;
 }
 
@@ -405,55 +373,6 @@ unsigned NetworkSim::probe_fanout(const ipv6::Prefix& prefix,
   return resolved.aliased()
              ? fanout_aliased(resolved.config(), zone_params_[z], prefix, day)
              : fanout_honest(resolved, zone_params_[z], prefix, day);
-}
-
-ProbeResult NetworkSim::probe_resolved(const ResolvedTarget& r,
-                                       net::Protocol protocol, int day,
-                                       unsigned seq) {
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
-  ProbeResult out;
-  if (!net::responds_to(r.service_mask, protocol)) return out;
-  const ZoneProbeParams& zp = zone_params_[r.zone];
-  if (!resolved_responds(zp, r.flags, r.slot, r.addr_hash, protocol, day, seq)) {
-    return out;
-  }
-  out.responded = true;
-  emit_machine(r, probe_time(day, seq), &out);
-  return out;
-}
-
-void NetworkSim::probe_resolved(const ResolvedColumns& t,
-                                const std::uint32_t* rows, std::size_t count,
-                                net::Protocol protocol, int day, unsigned seq,
-                                ProbeResult* results) {
-  probes_sent_.fetch_add(count, std::memory_order_relaxed);
-  const ZoneProbeParams* zones = zone_params_.data();
-  const std::uint64_t time = probe_time(day, seq);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t i = rows[k];
-    ProbeResult& out = results[k];
-    out = ProbeResult{};
-    if (!net::responds_to(t.service_mask[i], protocol)) continue;
-    const ZoneProbeParams& zp = zones[t.zone[i]];
-    const std::uint64_t addr_hash = (t.flags[i] & ResolvedTarget::kAliased)
-                                        ? t.alias_hash[t.slot[i]]
-                                        : 0;
-    if (!resolved_responds(zp, t.flags[i], t.slot[i], addr_hash, protocol, day,
-                           seq)) {
-      continue;
-    }
-    out.responded = true;
-    out.ittl = t.ittl[i];
-    out.wscale = t.wscale[i];
-    out.mss = t.mss[i];
-    out.wsize = t.wsize[i];
-    out.options_id = t.options_id[i];
-    out.has_timestamp = t.ts_hz[i] != 0;
-    if (t.ts_hz[i] != 0) {
-      out.tsval = t.ts_offset[i] + t.ts_hz[i] * static_cast<std::uint32_t>(time);
-    }
-    out.ttl = t.ttl[i];
-  }
 }
 
 void NetworkSim::probe_resolved_mask(const ResolvedColumns& t,

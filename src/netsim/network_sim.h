@@ -6,14 +6,17 @@
 //
 // Three probe paths share one response predicate:
 //  - probe(): resolve the target through the universe (zone trie, slot
-//    inversion, service mask, machine image) on every call — the
-//    per-address reference path.
-//  - resolve() + probe_resolved(): hoist everything that is immutable
-//    per address (per rotation epoch) into a ResolvedTarget record
-//    once, then answer each probe from the cached record plus the few
-//    genuinely day/seq-dependent hashes. Byte-identical to probe() by
-//    construction (tests/test_scan_engine.cpp), and the substrate of
-//    the scan::ScanEngine batch hot path.
+//    inversion, service mask) on every call and, when it answers, fill
+//    the machine image — the per-address path, and the only one that
+//    reports the TCP fingerprint (Table 5's APD validation).
+//  - resolve() + probe_resolved_mask(): the daily scan records only
+//    whether each target answers, so resolve() hoists what the
+//    predicate needs from the address alone (zone, slot, service mask)
+//    into a ResolvedTarget once per rotation epoch, and the branchless
+//    kernel of probe_kernel.h answers a batch of cached rows with the
+//    genuinely day/seq-dependent rolls. Its responded bit equals
+//    probe().responded (tests/test_probe_kernel.cpp,
+//    tests/test_scan_engine.cpp); scan::ScanEngine runs it.
 //  - resolve_fanout() + probe_fanout(): the alias detector's 16 probes
 //    under one prefix. resolve_fanout() finds the prefix's zone once
 //    per campaign (the universe never changes); probe_fanout() is a
@@ -36,6 +39,7 @@
 #include "net/protocol.h"
 #include "netsim/probe_kernel.h"
 #include "netsim/universe.h"
+#include "util/rng.h"
 
 namespace v6h::netsim {
 
@@ -57,58 +61,38 @@ inline std::uint64_t probe_time(int day, unsigned seq) {
   return static_cast<std::uint64_t>(day) * 1000 + static_cast<std::uint64_t>(seq) * 10;
 }
 
-/// Everything probe() derives from the target address alone, cached
-/// once per address: the zone, the inverted host slot, the service
-/// mask, and the full machine image (timestamp clock split into
-/// hz/offset so tsval stays a per-probe multiply-add). A zero
-/// service_mask row can never respond — unrouted addresses, dead host
-/// slots, and alias carve-out members all collapse into that one
-/// cheap check. Slot-derived fields are valid for `epoch` only; zones
-/// with rotating addresses need a re-resolve when the epoch advances
-/// (scan::ResolvedTargetTable::refresh).
+/// What the response predicate derives from the target address alone,
+/// cached once per address: the zone, the inverted host slot and the
+/// service mask. A zero service_mask row can never respond — unrouted
+/// addresses, dead host slots, and alias carve-out members all
+/// collapse into that one cheap check. Slot-derived fields are valid
+/// for `epoch` only; zones with rotating addresses need a re-resolve
+/// when the epoch advances (scan::ResolvedTargetTable::refresh).
 struct ResolvedTarget {
   static constexpr std::uint32_t kNoZone = 0xffffffffu;
-  static constexpr std::uint8_t kAliased = 1;   // aliased space, outside carve-out
-  static constexpr std::uint8_t kLiveSlot = 2;  // honest zone, responsive slot
+  static constexpr std::uint8_t kAliased = 1;  // aliased space, outside carve-out
 
   std::uint32_t zone = kNoZone;  // index into universe().zones()
   std::uint32_t slot = 0;
-  std::uint64_t addr_hash = 0;
   std::int32_t epoch = 0;
   std::uint8_t flags = 0;
   std::uint8_t service_mask = 0;
-  // Cached machine image; ts_hz == 0 means no TCP timestamps.
-  std::uint8_t ittl = 0;
-  std::uint8_t wscale = 0;
-  std::uint8_t options_id = 0;
-  std::uint8_t ttl = 0;
-  std::uint16_t mss = 0;
-  std::uint16_t wsize = 0;
-  std::uint32_t ts_hz = 0;
-  std::uint32_t ts_offset = 0;
 };
 
 /// Struct-of-arrays view over a table of ResolvedTarget rows (owned by
-/// scan::ResolvedTargetTable): the batched hot path reads only the
-/// columns a predicate needs instead of striding over full records.
-/// The per-address hash is only read for aliased rows, so it lives in
-/// a dense side table instead of a per-row column: for rows with the
-/// kAliased flag, `slot[i]` indexes `alias_hash`; honest rows carry
-/// their host slot there and no hash at all.
+/// scan::ResolvedTargetTable): the scan kernel reads only the columns
+/// its predicate needs instead of striding over full records. The
+/// per-address hash (NetworkSim::alias_hash) is only read for aliased
+/// rows, so it lives in a dense side table instead of a per-row
+/// column: for rows with the kAliased flag, `slot[i]` indexes
+/// `alias_hash`; honest rows carry their host slot there and no hash
+/// at all.
 struct ResolvedColumns {
   const std::uint32_t* zone = nullptr;
   const std::uint32_t* slot = nullptr;
   const std::uint64_t* alias_hash = nullptr;
   const std::uint8_t* flags = nullptr;
   const std::uint8_t* service_mask = nullptr;
-  const std::uint8_t* ittl = nullptr;
-  const std::uint8_t* wscale = nullptr;
-  const std::uint8_t* options_id = nullptr;
-  const std::uint8_t* ttl = nullptr;
-  const std::uint16_t* mss = nullptr;
-  const std::uint16_t* wsize = nullptr;
-  const std::uint32_t* ts_hz = nullptr;
-  const std::uint32_t* ts_offset = nullptr;
 };
 
 /// The per-zone scalars the day/seq-dependent probe predicates read,
@@ -177,23 +161,18 @@ class NetworkSim {
   /// epoch matches.
   ResolvedTarget resolve(const ipv6::Address& a, int day) const;
 
-  /// Probe through a cached resolution: byte-identical ProbeResult to
-  /// probe(a, ...) for the address `r` was resolved from, at any day
-  /// within `r`'s rotation epoch.
-  ProbeResult probe_resolved(const ResolvedTarget& r, net::Protocol protocol,
-                             int day, unsigned seq = 0);
-
-  /// Batched columnar form over rows[0..count): results[k] answers
-  /// rows[k]. One relaxed counter add covers the whole span.
-  void probe_resolved(const ResolvedColumns& t, const std::uint32_t* rows,
-                      std::size_t count, net::Protocol protocol, int day,
-                      unsigned seq, ProbeResult* results);
+  /// The per-address hash that keys an aliased address's loss and
+  /// QUIC rolls, proxy window and path length: the one definition
+  /// probe(), probe_fanout() and the resolution cache's alias_hash
+  /// column share.
+  static std::uint64_t alias_hash(const ipv6::Address& a) {
+    return util::hash64(a.hi, a.lo, 0xAD);
+  }
 
   /// Scan hot path: OR `mask_of(protocol)` into masks[rows[k]] when
   /// rows[k] responds — `masks` is a row-indexed column (e.g. a
   /// scan::ScanFrame's mask column), so retries and partial sweeps
-  /// scatter into the same buffer without a position remap. Touches
-  /// only the predicate columns (no machine-image fill); the
+  /// scatter into the same buffer without a position remap. The
   /// responded bit is identical to probe().responded
   /// (tests/test_probe_kernel.cpp). Runs the branchless SIMD kernel
   /// of probe_kernel.h.

@@ -10,37 +10,7 @@ void ResolvedTargetTable::store_row(std::size_t row, const ResolvedTarget& r) {
   slot_[row] = r.slot;
   flags_[row] = r.flags;
   service_mask_[row] = r.service_mask;
-  ittl_[row] = r.ittl;
-  wscale_[row] = r.wscale;
-  options_id_[row] = r.options_id;
-  ttl_[row] = r.ttl;
-  mss_[row] = r.mss;
-  wsize_[row] = r.wsize;
-  ts_hz_[row] = r.ts_hz;
-  ts_offset_[row] = r.ts_offset;
   epoch_[row] = r.epoch;
-}
-
-netsim::ResolvedTarget ResolvedTargetTable::row(std::size_t i) const {
-  ResolvedTarget r;
-  r.zone = zone_[i];
-  if (flags_[i] & ResolvedTarget::kAliased) {
-    r.addr_hash = alias_hash_[slot_[i]];
-  } else {
-    r.slot = slot_[i];
-  }
-  r.flags = flags_[i];
-  r.service_mask = service_mask_[i];
-  r.ittl = ittl_[i];
-  r.wscale = wscale_[i];
-  r.options_id = options_id_[i];
-  r.ttl = ttl_[i];
-  r.mss = mss_[i];
-  r.wsize = wsize_[i];
-  r.ts_hz = ts_hz_[i];
-  r.ts_offset = ts_offset_[i];
-  r.epoch = epoch_[i];
-  return r;
 }
 
 void ResolvedTargetTable::reserve(std::size_t max_rows) {
@@ -48,18 +18,9 @@ void ResolvedTargetTable::reserve(std::size_t max_rows) {
   slot_.reserve(max_rows);
   flags_.reserve(max_rows);
   service_mask_.reserve(max_rows);
-  ittl_.reserve(max_rows);
-  wscale_.reserve(max_rows);
-  options_id_.reserve(max_rows);
-  ttl_.reserve(max_rows);
-  mss_.reserve(max_rows);
-  wsize_.reserve(max_rows);
-  ts_hz_.reserve(max_rows);
-  ts_offset_.reserve(max_rows);
   epoch_.reserve(max_rows);
   alias_hash_.reserve(max_rows);
   rotating_rows_.reserve(max_rows);
-  extend_hash_scratch_.reserve(max_rows);
 }
 
 void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
@@ -71,16 +32,7 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
   slot_.resize(total);
   flags_.resize(total);
   service_mask_.resize(total);
-  ittl_.resize(total);
-  wscale_.resize(total);
-  options_id_.resize(total);
-  ttl_.resize(total);
-  mss_.resize(total);
-  wsize_.resize(total);
-  ts_hz_.resize(total);
-  ts_offset_.resize(total);
   epoch_.resize(total);
-  extend_hash_scratch_.resize(count);
 
   // Worker discipline (see the class comment in resolved_table.h):
   // resolve() is a pure function of (address, day), each worker
@@ -89,9 +41,7 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
   // serial bookkeeping below reads them.
   auto fill = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const ResolvedTarget r = sim_->resolve(addrs[i], day);
-      store_row(base + i, r);
-      extend_hash_scratch_[i] = r.addr_hash;
+      store_row(base + i, sim_->resolve(addrs[i], day));
     }
   };
   if (engine != nullptr && engine->parallel()) {
@@ -100,8 +50,8 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
     fill(0, count);
   }
 
-  // Serial bookkeeping, in row order. Aliased rows park their address
-  // hash in the side table (the slot column, unused for them, becomes
+  // Serial bookkeeping, in row order. Aliased rows hash their address
+  // into the side table (the slot column, unused for them, becomes
   // the side-table index); they never rotate, so the rotation list
   // only ever collects honest rows, and an unrouted row has no zone
   // at all.
@@ -109,7 +59,7 @@ void ResolvedTargetTable::extend(const Address* addrs, std::size_t count,
   for (std::size_t i = base; i < total; ++i) {
     if (flags_[i] & ResolvedTarget::kAliased) {
       slot_[i] = static_cast<std::uint32_t>(alias_hash_.size());
-      alias_hash_.push_back(extend_hash_scratch_[i - base]);
+      alias_hash_.push_back(netsim::NetworkSim::alias_hash(addrs[i - base]));
       continue;
     }
     if (zone_[i] == ResolvedTarget::kNoZone) continue;

@@ -1,9 +1,10 @@
 #pragma once
 
 // Columnar cache of per-address universe resolution: one row per
-// target, SoA arrays for every field NetworkSim::probe used to
-// re-derive per probe (zone ref, inverted slot, service mask, machine
-// image, timestamp clock params). Rows are append-only and aligned
+// target, SoA arrays for what NetworkSim's response predicate derives
+// from the address alone (zone ref, inverted slot, service mask, and
+// the aliased-space address hash). The scan reads it through
+// NetworkSim::probe_resolved_mask. Rows are append-only and aligned
 // with hitlist::TargetStore rows, so each DayDelta extends the table
 // by exactly the day's new suffix; zones with rotating addresses
 // (privacy IIDs) record their resolution epoch and are lazily
@@ -53,7 +54,7 @@ class ResolvedTargetTable {
   void refresh(const ipv6::Address* addrs, int day,
                engine::Engine* engine = nullptr);
 
-  /// SoA view for NetworkSim's batched probe_resolved hot path.
+  /// SoA view for NetworkSim::probe_resolved_mask.
   /// Invalidated by extend() (reallocation), not by refresh().
   netsim::ResolvedColumns columns() const {
     netsim::ResolvedColumns t;
@@ -62,21 +63,8 @@ class ResolvedTargetTable {
     t.alias_hash = alias_hash_.data();
     t.flags = flags_.data();
     t.service_mask = service_mask_.data();
-    t.ittl = ittl_.data();
-    t.wscale = wscale_.data();
-    t.options_id = options_id_.data();
-    t.ttl = ttl_.data();
-    t.mss = mss_.data();
-    t.wsize = wsize_.data();
-    t.ts_hz = ts_hz_.data();
-    t.ts_offset = ts_offset_.data();
     return t;
   }
-
-  /// Reassemble one row as the AoS record (tests, diagnostics). For
-  /// honest rows addr_hash is reassembled as 0 — only aliased-space
-  /// probing reads it, and honest rows no longer carry the column.
-  netsim::ResolvedTarget row(std::size_t i) const;
 
   std::size_t rotating_rows() const { return rotating_rows_.size(); }
 
@@ -98,22 +86,10 @@ class ResolvedTargetTable {
   std::vector<std::uint64_t> alias_hash_;
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint8_t> service_mask_;
-  std::vector<std::uint8_t> ittl_;
-  std::vector<std::uint8_t> wscale_;
-  std::vector<std::uint8_t> options_id_;
-  std::vector<std::uint8_t> ttl_;
-  std::vector<std::uint16_t> mss_;
-  std::vector<std::uint16_t> wsize_;
-  std::vector<std::uint32_t> ts_hz_;
-  std::vector<std::uint32_t> ts_offset_;
   std::vector<std::int32_t> epoch_;  // resolution epoch per row
   // Rows living in zones with lifetime_days > 0; the only rows whose
   // cached resolution can go stale.
   std::vector<std::uint32_t> rotating_rows_;
-  // Reusable per-extend scratch for the new rows' address hashes (the
-  // parallel fill writes them here; the serial bookkeeping pass moves
-  // the aliased ones into alias_hash_).
-  std::vector<std::uint64_t> extend_hash_scratch_;
 };
 
 }  // namespace v6h::scan

@@ -9,8 +9,9 @@
 // A ScanEngine owns a ResolvedTargetTable aligned with the pipeline's
 // TargetStore rows. Each day it extends the table by the day's new
 // rows (sync), refreshes rotation epochs, and then answers the
-// protocol scan from NetworkSim's batched probe_resolved hot path —
-// no per-probe universe lookups. Results land in a caller-owned
+// protocol scan with NetworkSim::probe_resolved_mask, the branchless
+// kernel over the cached predicate columns — no per-probe universe
+// lookups. Results land in a caller-owned
 // reusable ScanFrame (zero steady-state allocations; see
 // scan/scan_frame.h) and stream through an optional ResultSink. A
 // ProbeSchedule picks protocols, probe budget, retry policy, and

@@ -1,14 +1,17 @@
 // The resolved-probe contract (ISSUE 4): probing through a cached
-// resolution must be byte-identical to NetworkSim::probe for every
-// kind of address the universe can produce — aliased space, carve-out
+// resolution must answer like NetworkSim::probe for every kind of
+// address the universe can produce — aliased space, carve-out
 // islands, honest hosts, dead discoverable addresses, rotating
 // privacy addresses across epoch boundaries, and unrouted space — for
-// all protocols, several days, and several seq values. Also covers
-// the ScanEngine address-scan against a per-address probe() loop, the
-// ProbeSchedule budget/retry scenarios, and the NetworkSim fan-out
-// kernel (resolve_fanout + probe_fanout, plus the standalone
-// AliasDetector::probe_prefix built on it) against a probe() loop over
-// every class of APD candidate prefix and every branch of the kernel.
+// all protocols, several days, and several seq values, including a
+// table refreshed day by day across rotation epochs. probe()'s full
+// ProbeResult (the machine image only it reports) is pinned by a
+// golden digest. Also covers the ScanEngine address-scan against a
+// per-address probe() loop, the ProbeSchedule budget/retry scenarios,
+// and the NetworkSim fan-out kernel (resolve_fanout + probe_fanout,
+// plus the standalone AliasDetector::probe_prefix built on it)
+// against a probe() loop over every class of APD candidate prefix and
+// every branch of the kernel.
 
 #include <algorithm>
 #include <array>
@@ -28,13 +31,6 @@
 using namespace v6h;
 
 namespace {
-
-bool same_result(const netsim::ProbeResult& a, const netsim::ProbeResult& b) {
-  return a.responded == b.responded && a.ttl == b.ttl && a.ittl == b.ittl &&
-         a.wscale == b.wscale && a.mss == b.mss && a.wsize == b.wsize &&
-         a.options_id == b.options_id && a.has_timestamp == b.has_timestamp &&
-         a.tsval == b.tsval;
-}
 
 // Addresses exercising every resolution class, built per day so
 // rotating zones contribute their current canonical addresses as well
@@ -71,12 +67,68 @@ std::vector<ipv6::Address> probe_targets(const netsim::Universe& universe,
   return out;
 }
 
-void run_probe_equivalence() {
+// The universe of the probe, refresh and digest checks.
+netsim::UniverseParams probe_universe_params() {
   netsim::UniverseParams params;
   params.seed = 7;
   params.scale = 0.05;
   params.tail_as_count = 200;
-  const netsim::Universe universe(params);
+  return params;
+}
+
+// (row, protocol) pairs of `table` whose mask bit differs from
+// probe().responded at (day, seq), sweeping every row per protocol
+// through the scan kernel the way ScanEngine does.
+std::size_t mask_mismatches(netsim::NetworkSim& sim,
+                            const scan::ResolvedTargetTable& table,
+                            const std::vector<ipv6::Address>& targets, int day,
+                            unsigned seq) {
+  std::vector<std::uint32_t> rows(targets.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<std::uint32_t>(i);
+  }
+  // The mask sweep scatters by row id, so the output buffer is
+  // row-indexed like a ScanFrame's mask column.
+  std::vector<net::ProtocolMask> masks(targets.size(), 0);
+  const auto cols = table.columns();
+  for (const auto protocol : net::kAllProtocols) {
+    sim.probe_resolved_mask(cols, rows.data(), rows.size(), protocol, day, seq,
+                            masks.data());
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    for (const auto protocol : net::kAllProtocols) {
+      mismatches += net::responds_to(masks[i], protocol) !=
+                    sim.probe(targets[i], protocol, day, seq).responded;
+    }
+  }
+  return mismatches;
+}
+
+// Rows where two tables over the same addresses disagree in any
+// column the scan kernel reads (an aliased row's slot indexes the
+// hash side table, which both tables fill in row order).
+std::size_t column_mismatches(const scan::ResolvedTargetTable& a,
+                              const scan::ResolvedTargetTable& b) {
+  if (a.size() != b.size() || a.aliased_rows() != b.aliased_rows()) {
+    return a.size() + b.size() + 1;
+  }
+  const auto x = a.columns();
+  const auto y = b.columns();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    mismatches += x.zone[i] != y.zone[i] || x.slot[i] != y.slot[i] ||
+                  x.flags[i] != y.flags[i] ||
+                  x.service_mask[i] != y.service_mask[i];
+  }
+  for (std::size_t k = 0; k < a.aliased_rows(); ++k) {
+    mismatches += x.alias_hash[k] != y.alias_hash[k];
+  }
+  return mismatches;
+}
+
+void run_probe_equivalence() {
+  const netsim::Universe universe(probe_universe_params());
   netsim::NetworkSim sim(universe);
 
   std::size_t rotating_seen = 0;
@@ -88,51 +140,93 @@ void run_probe_equivalence() {
     scan::ResolvedTargetTable table(sim);
     table.extend(targets.data(), targets.size(), day);
     rotating_seen += table.rotating_rows();
-    const auto cols = table.columns();
-    // The mask sweep scatters by row id, so the output buffer is
-    // row-indexed like a ScanFrame's mask column.
-    std::vector<net::ProtocolMask> masks(targets.size(), 0);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const std::uint32_t row = static_cast<std::uint32_t>(i);
-      for (const auto protocol : net::kAllProtocols) {
-        for (const unsigned seq : {0u, 3u}) {
-          const auto legacy = sim.probe(targets[i], protocol, day, seq);
-          const auto aos =
-              sim.probe_resolved(sim.resolve(targets[i], day), protocol, day, seq);
-          netsim::ProbeResult soa;
-          sim.probe_resolved(cols, &row, 1, protocol, day, seq, &soa);
-          masks[row] = 0;
-          sim.probe_resolved_mask(cols, &row, 1, protocol, day, seq,
-                                  masks.data());
-          mismatches += !same_result(legacy, aos);
-          mismatches += !same_result(legacy, soa);
-          mismatches += (masks[row] != 0) != legacy.responded;
-        }
-      }
+    for (const unsigned seq : {0u, 3u}) {
+      mismatches += mask_mismatches(sim, table, targets, day, seq);
     }
   }
   CHECK_EQ(mismatches, 0u);
   CHECK(rotating_seen > 0);  // the sweep must cover rotating zones
+}
 
-  // A table extended at day D then refreshed across an epoch boundary
-  // must answer like a fresh resolution at the later day.
-  {
-    const int day0 = 0;
-    const int day1 = 120;  // far past every zone's first rotation
-    const auto targets = probe_targets(universe, day0);
+// A table extended once and then refreshed every day must hold the
+// same columns as a table freshly resolved that day, and answer like
+// probe(), through several rotation epochs of every rotating zone.
+// The addresses are the day-0 and day-60 targets, so rows go stale,
+// come alive and go stale again as their zones rotate.
+void run_refresh_equivalence() {
+  const netsim::Universe universe(probe_universe_params());
+  netsim::NetworkSim sim(universe);
+  auto targets = probe_targets(universe, 0);
+  const auto later = probe_targets(universe, 60);
+  targets.insert(targets.end(), later.begin(), later.end());
+
+  engine::EngineOptions engine_options;
+  engine_options.threads = 4;
+  engine::Engine eng(engine_options);
+  for (engine::Engine* engine : {static_cast<engine::Engine*>(nullptr), &eng}) {
     scan::ResolvedTargetTable table(sim);
-    table.extend(targets.data(), targets.size(), day0);
-    table.refresh(targets.data(), day1);
-    const auto cols = table.columns();
+    table.extend(targets.data(), targets.size(), 0, engine);
+    CHECK(table.rotating_rows() > 0);
+    std::vector<std::uint8_t> previous(table.columns().service_mask,
+                                       table.columns().service_mask + table.size());
     std::size_t stale = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const std::uint32_t row = static_cast<std::uint32_t>(i);
-      netsim::ProbeResult refreshed;
-      sim.probe_resolved(cols, &row, 1, net::Protocol::kIcmp, day1, 0, &refreshed);
-      stale += !same_result(sim.probe(targets[i], net::Protocol::kIcmp, day1, 0),
-                            refreshed);
+    std::size_t wrong_masks = 0;
+    int change_days = 0;
+    for (int day = 1; day <= 150; ++day) {
+      table.refresh(targets.data(), day, engine);
+      scan::ResolvedTargetTable fresh(sim);
+      fresh.extend(targets.data(), targets.size(), day);
+      stale += column_mismatches(table, fresh);
+      wrong_masks += mask_mismatches(sim, table, targets, day, 0);
+      const std::uint8_t* masks = table.columns().service_mask;
+      change_days += !std::equal(previous.begin(), previous.end(), masks);
+      previous.assign(masks, masks + table.size());
     }
     CHECK_EQ(stale, 0u);
+    CHECK_EQ(wrong_masks, 0u);
+    // The sweep must see rows change on many days: one epoch crossing
+    // per rotating zone would already give a handful.
+    CHECK(change_days >= 4);
+  }
+}
+
+// FNV-style fold of every ProbeResult field probe() reports over the
+// targets of probe_universe_params(), all protocols, seq {0, 3} and
+// days {0, 13, 61, 200}. Pins the machine image (TTL, iTTL, wscale,
+// MSS, window, options class, timestamp clock), which only probe()
+// computes. Recorded while probe() was still checked field by field
+// against an independently cached copy of every image.
+constexpr std::uint64_t kProbeImageDigest = 0x402733501e4ce478ULL;
+
+void run_probe_image_digest() {
+  const netsim::Universe universe(probe_universe_params());
+  netsim::NetworkSim sim(universe);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t responded = 0;
+  std::size_t timestamped = 0;
+  for (const int day : {0, 13, 61, 200}) {
+    for (const auto& a : probe_targets(universe, day)) {
+      for (const auto protocol : net::kAllProtocols) {
+        for (const unsigned seq : {0u, 3u}) {
+          const auto r = sim.probe(a, protocol, day, seq);
+          responded += r.responded;
+          timestamped += r.has_timestamp;
+          const std::uint64_t fields[] = {
+              r.responded, r.ttl, r.ittl, r.wscale, r.mss, r.wsize,
+              r.options_id, r.has_timestamp, r.tsval};
+          for (const std::uint64_t field : fields) {
+            digest = (digest ^ field) * 0x100000001b3ULL;
+          }
+        }
+      }
+    }
+  }
+  CHECK(responded > 0);
+  CHECK(timestamped > 0 && timestamped < responded);
+  CHECK_EQ(digest, kProbeImageDigest);
+  if (digest != kProbeImageDigest) {
+    std::fprintf(stderr, "probe() image digest 0x%016llx\n",
+                 static_cast<unsigned long long>(digest));
   }
 }
 
@@ -533,6 +627,8 @@ void run_fanout_equivalence() {
 
 void run_tests(const std::vector<unsigned>& thread_counts) {
   run_probe_equivalence();
+  run_refresh_equivalence();
+  run_probe_image_digest();
   run_fanout_equivalence();
   run_scan_equivalence(thread_counts);
   run_schedule_scenarios();
