@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
 
   auto eng = args.make_engine();
   const netsim::Universe universe(args.universe_params(), &eng);
-  netsim::NetworkSim sim(universe);
-  sources::SourceSimulator sources(universe, sim, &eng);
+  sources::SourceSimulator sources(universe);
 
   std::vector<ipv6::Address> targets;
   std::unordered_map<ipv6::Address, bool, ipv6::AddressHash> seen;

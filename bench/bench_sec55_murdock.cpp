@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // the full multi-level candidate set.
   const std::size_t min_targets = std::max<std::size_t>(
       3, static_cast<std::size_t>(std::llround(0.1 * args.scale)));
-  apd::CandidateCounter counter(universe.bgp(), min_targets, &eng);
+  apd::CandidateCounter counter(universe.bgp(), min_targets);
   counter.add_addresses(targets.data(), targets.size());
   const std::uint64_t our_addresses = counter.candidates().size() * 16ull;
 

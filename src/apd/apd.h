@@ -125,8 +125,8 @@ class SlidingVerdict {
 class CandidateCounter {
  public:
   /// `engine` is unused: counting runs serially on the calling thread.
-  /// The argument stays for callers that hand their engine to every
-  /// stage.
+  /// The argument stays for perfbench's copy of the day loop
+  /// (TracedAssembly) until ROADMAP item 1 deletes that copy.
   CandidateCounter(const netsim::BgpTable& bgp, std::size_t min_targets,
                    engine::Engine* engine = nullptr);
 

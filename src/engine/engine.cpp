@@ -23,15 +23,13 @@ void Engine::parallel_chunks(
     std::size_t n, std::size_t grain,
     util::FunctionRef<void(std::size_t, std::size_t)> fn) {
   // Chunk count derives from the range size (never split below grain)
-  // and the worker count (~8 stealable chunks per worker balances
-  // scheduling overhead against tail imbalance), clamped by the
-  // explicit kMaxChunksPerSweep ceiling. The borrowed `fn` is safe to
+  // and the worker count (~8 chunks per worker balances claim
+  // overhead against tail imbalance). The borrowed `fn` is safe to
   // reference from the chunk lambda because ThreadPool::run is a full
   // barrier: no worker touches the task after run returns.
   const std::size_t by_grain = (n + grain - 1) / grain;
-  const std::size_t target = std::min(
-      static_cast<std::size_t>(threads_) * 8, kMaxChunksPerSweep);
-  const std::size_t want = std::min(by_grain, target);
+  const std::size_t want =
+      std::min(by_grain, static_cast<std::size_t>(threads_) * 8);
   const std::size_t chunk = std::max(grain, (n + want - 1) / want);
   const std::size_t chunks = (n + chunk - 1) / chunk;
   if (obs_ != nullptr) {

@@ -1,9 +1,11 @@
 #pragma once
 
-// Parallel execution engine for the daily pipeline: a
-// work-stealing ThreadPool plus the deterministic parallel_for every
-// pipeline stage (source draws, APD fan-out, protocol scans, alias
-// filtering, universe construction) is routed through.
+// Parallel execution engine for the daily pipeline: a claim-cursor
+// ThreadPool plus the deterministic parallel_for that the stages which
+// measurably gain from threads are routed through (APD fan-out,
+// resolved-table sync, protocol scans, universe construction). Source
+// draws and alias filtering run serially: at 4 threads they gained
+// under 1.5x (ROADMAP item 4).
 //
 // Determinism contract: a null Engine* or threads == 1 executes every
 // loop inline on the historical serial path; for any other thread
@@ -23,15 +25,6 @@ class Observability;
 
 namespace v6h::engine {
 
-/// Hard ceiling on chunks per parallel_for sweep. The chunk count is
-/// derived from the range size and the worker count (~8 stealable
-/// chunks per worker), then clamped here so a huge range on a huge
-/// machine cannot explode the per-sweep scheduling work; the pool
-/// itself handles far larger task counts (>= 1e5, regression-tested in
-/// tests/test_engine_chunks.cpp) via batched per-queue enqueue, so the
-/// ceiling is a scheduling-overhead bound, not a correctness limit.
-inline constexpr std::size_t kMaxChunksPerSweep = 4096;
-
 struct EngineOptions {
   /// Worker count; 0 picks hardware concurrency, 1 is strictly serial.
   unsigned threads = 0;
@@ -46,13 +39,14 @@ class Engine {
 
   /// Attach (or detach with nullptr) the observability layer: sweep
   /// dispatches record chunk telemetry and a "pool_run" span, and pool
-  /// workers count executed/stolen tasks. Call only between runs (the
+  /// workers count executed tasks. Call only between runs (the
   /// harness owns the ordering); the engine never owns the object and
   /// must be detached before it is destroyed.
   void set_observability(obs::Observability* obs);
 
-  /// fn(begin, end) over disjoint chunks covering [0, n). Chunks land
-  /// on all workers via work-stealing; with one thread (or n <= grain)
+  /// fn(begin, end) over disjoint chunks covering [0, n): at most 8
+  /// per worker, never shorter than `grain` except the tail, claimed
+  /// by whichever thread is idle; with one thread (or n <= grain)
   /// this is a single inline fn(0, n) call.
   ///
   /// Synchronization contract: fn runs concurrently on pool workers

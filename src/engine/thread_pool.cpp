@@ -6,10 +6,6 @@ namespace v6h::engine {
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads < 1) threads = 1;
-  queues_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(threads - 1);
   for (unsigned i = 1; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -25,49 +21,38 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::run_one(unsigned self) {
-  std::size_t index = 0;
-  bool found = false;
-  bool stolen = false;
-  {
-    Queue& own = *queues_[self];
-    util::MutexLock lock(own.mu);
-    if (own.head < own.tasks.size()) {
-      index = own.tasks[own.head++];
-      found = true;
+void ThreadPool::drain(std::uint32_t epoch, std::uint32_t count) {
+  std::uint64_t cursor = cursor_.load(std::memory_order_acquire);
+  for (;;) {
+    // Another run's epoch or a used-up count ends this thread's share.
+    if (static_cast<std::uint32_t>(cursor >> 32) != epoch) return;
+    const auto index = static_cast<std::uint32_t>(cursor);
+    if (index >= count) return;
+    if (!cursor_.compare_exchange_weak(cursor, cursor + 1,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      continue;  // `cursor` now holds the current word
     }
-  }
-  for (std::size_t offset = 1; !found && offset < queues_.size(); ++offset) {
-    Queue& victim = *queues_[(self + offset) % queues_.size()];
-    util::MutexLock lock(victim.mu);
-    if (victim.head < victim.tasks.size()) {
-      index = victim.tasks.back();  // steal from the cold end
-      victim.tasks.pop_back();
-      found = true;
-      stolen = true;
+    if (obs::Observability* obs = obs_.load(std::memory_order_relaxed)) {
+      // Lane-local relaxed store (this thread claimed its lane at
+      // spawn); nondeterministic by nature — which thread claims an
+      // index is scheduling-dependent.
+      obs->registry().add(obs->core().pool_tasks, 1);
     }
+    // A thread holding a claimed index owns one dereference of task_:
+    // the acquire pairs with run()'s release store, and run() cannot
+    // null the pointer before remaining_ (decremented below, after
+    // the call) reaches zero.
+    const auto* task = task_.load(std::memory_order_acquire);
+    (*task)(index);
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Last task: take mu_ so the notify cannot slip between the
+      // run() caller's predicate test and its wait.
+      util::MutexLock lock(mu_);
+      done_.notify_all();
+    }
+    cursor = cursor_.load(std::memory_order_acquire);
   }
-  if (!found) return false;
-  if (obs::Observability* obs = obs_.load(std::memory_order_relaxed)) {
-    // Lane-local relaxed stores (this thread claimed its lane at
-    // spawn); nondeterministic by nature — which worker runs or steals
-    // an index is scheduling-dependent.
-    obs->registry().add(obs->core().pool_tasks, 1);
-    if (stolen) obs->registry().add(obs->core().pool_steals, 1);
-  }
-  // Any thread holding an index owns one dereference of task_: the
-  // acquire pairs with run()'s release store, and run() cannot null
-  // the pointer before remaining_ (decremented below, after the call)
-  // reaches zero.
-  const auto* task = task_.load(std::memory_order_acquire);
-  (*task)(index);
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: take mu_ so the notify cannot slip between the run()
-    // caller's predicate test and its wait.
-    util::MutexLock lock(mu_);
-    done_.notify_all();
-  }
-  return true;
 }
 
 void ThreadPool::worker_loop(unsigned self) {
@@ -78,14 +63,15 @@ void ThreadPool::worker_loop(unsigned self) {
   obs::set_lane(self);
   std::uint64_t seen = 0;
   for (;;) {
+    std::uint32_t count = 0;
     {
       util::MutexLock lock(mu_);
       while (!stop_ && epoch_ == seen) wake_.wait(mu_);
       if (stop_) return;
       seen = epoch_;
+      count = count_;
     }
-    while (run_one(self)) {
-    }
+    drain(static_cast<std::uint32_t>(seen), count);
   }
 }
 
@@ -97,40 +83,22 @@ void ThreadPool::run(std::size_t count,
     return;
   }
   inside_run_ = true;
-  // task_ and remaining_ are published before any index is enqueued: a
-  // late worker still draining the previous epoch may legally steal
-  // the new tasks, and must observe both the moment it pops an index.
-  // `task` lives in this frame until the barrier below completes, so
+  // task_ and remaining_ are published before the cursor opens the
+  // run, so any thread that claims an index observes both. `task`
+  // lives in this frame until the barrier below completes, so
   // publishing its address is safe.
   task_.store(&task, std::memory_order_release);
   remaining_.store(count, std::memory_order_release);
-  // Deal indices round-robin (index i lands on queue i % N, ascending
-  // within each queue — identical placement to the historical
-  // one-index-per-lock loop) but take each queue's mutex ONCE: at
-  // >= 1e5 tasks per sweep the per-index locking dominated enqueue
-  // cost (tests/test_engine_chunks.cpp regression-tests this scale).
-  const std::size_t queue_count = queues_.size();
-  for (std::size_t q = 0; q < queue_count && q < count; ++q) {
-    Queue& queue = *queues_[q];
-    util::MutexLock lock(queue.mu);
-    if (queue.head == queue.tasks.size()) {
-      // Previous epoch fully drained: recycle the ring in place. Safe
-      // because run() returns only after remaining_ hits zero, so no
-      // stale index can still be pending here.
-      queue.tasks.clear();
-      queue.head = 0;
-    }
-    for (std::size_t i = q; i < count; i += queue_count) {
-      queue.tasks.push_back(i);
-    }
-  }
+  const auto count32 = static_cast<std::uint32_t>(count);
+  std::uint32_t epoch = 0;
   {
     util::MutexLock lock(mu_);
-    ++epoch_;
+    epoch = static_cast<std::uint32_t>(++epoch_);
+    count_ = count32;
+    cursor_.store(std::uint64_t{epoch} << 32, std::memory_order_release);
   }
   wake_.notify_all();
-  while (run_one(0)) {
-  }
+  drain(epoch, count32);
   {
     util::MutexLock lock(mu_);
     while (remaining_.load(std::memory_order_acquire) != 0) done_.wait(mu_);

@@ -39,22 +39,10 @@ void AliasFilter::remove(const Prefix& prefix) {
 
 void AliasFilter::is_aliased_many(const Address* in, std::size_t count,
                                   std::vector<char>* aliased,
-                                  engine::Engine* engine) const {
+                                  engine::Engine* /*engine*/) const {
   aliased->assign(count, 0);
   if (length_count_ == 0) return;
-  // Worker discipline: the member table and the length list are
-  // read-only here (insert and remove are coordinator-only, between
-  // scan phases), and each worker writes only its own index range of
-  // `aliased`; the parallel_for return barrier publishes the column
-  // to the caller.
-  auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) (*aliased)[i] = is_aliased(in[i]);
-  };
-  if (engine != nullptr && engine->parallel()) {
-    engine->parallel_for(count, 512, run);
-  } else {
-    run(0, count);
-  }
+  for (std::size_t i = 0; i < count; ++i) (*aliased)[i] = is_aliased(in[i]);
 }
 
 void AliasFilter::reserve(std::size_t max_prefixes,
@@ -67,12 +55,11 @@ Pipeline::Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
                    PipelineOptions options, engine::Engine* engine)
     : universe_(&universe),
       options_(std::move(options)),
-      engine_(engine),
       sim_(&sim),
       obs_(options_.obs),
-      sources_(universe, sim, engine),
+      sources_(universe),
       detector_(sim, options_.apd, engine),
-      counter_(universe.bgp(), options_.apd.min_targets, engine),
+      counter_(universe.bgp(), options_.apd.min_targets),
       scan_engine_(sim, engine) {
   // Stage-level instrumentation inside the scan engine and the APD
   // fan-out; registry storage was allocated when the Observability
@@ -189,7 +176,7 @@ Pipeline::DayReport Pipeline::run_day(int day, scan::ResultSink* sink) {
     for (const auto& prefix : delta_.became_clean) filter_.remove(prefix);
     for (const auto& prefix : delta_.became_aliased) filter_.insert(prefix);
     filter_.is_aliased_many(store_.addresses().data() + delta_.first_new_row,
-                            delta_.new_addresses(), &scratch_.aliased, engine_);
+                            delta_.new_addresses(), &scratch_.aliased);
     for (std::size_t i = 0; i < scratch_.aliased.size(); ++i) {
       store_.set_aliased(delta_.first_new_row + i, scratch_.aliased[i] != 0);
     }

@@ -79,11 +79,7 @@ struct PipelineOptions {
 /// inserted. A per-length count of live prefixes keeps the probe list
 /// to the lengths that can still answer.
 ///
-/// Thread discipline: insert/remove run only on the coordinator
-/// thread between parallel phases; during is_aliased_many the table
-/// and the length list are read-only, and the only shared write is
-/// the caller-provided output column, which is index-addressed and
-/// disjoint per chunk.
+/// The filter is single-threaded: every call runs on the coordinator.
 class AliasFilter {
  public:
   AliasFilter() = default;
@@ -112,12 +108,12 @@ class AliasFilter {
     return false;
   }
 
-  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), chunked by
-  /// contiguous index across the engine workers when one is given.
-  /// Output order is the input order for any thread count.
+  /// Batched filter: (*aliased)[i] = is_aliased(in[i]), serially. The
+  /// engine is unused; the argument stays for perfbench's copy of the
+  /// day loop (TracedAssembly) until ROADMAP item 1 deletes it.
   void is_aliased_many(const ipv6::Address* in, std::size_t count,
                        std::vector<char>* aliased,
-                       engine::Engine* engine = nullptr) const;
+                       engine::Engine* = nullptr) const;
 
   /// The aliased set, sorted.
   const std::vector<ipv6::Prefix>& prefixes() const { return prefixes_; }
@@ -135,10 +131,11 @@ class AliasFilter {
 
 class Pipeline {
  public:
-  /// With an engine, the collect draws, APD fan-out, alias filtering,
-  /// and protocol scans of each day run chunked on its workers; a
-  /// null engine (or --threads 1) is the serial path. Output is
-  /// byte-identical either way (tests/test_engine_equivalence.cpp).
+  /// With an engine, the APD fan-out, the resolved-table sync and the
+  /// protocol scans of each day run chunked on its workers; collect,
+  /// candidate counting and the re-filter stay serial. A null engine
+  /// (or --threads 1) is the serial path. Output is byte-identical
+  /// either way (tests/test_engine_equivalence.cpp).
   Pipeline(const netsim::Universe& universe, netsim::NetworkSim& sim,
            PipelineOptions options = {}, engine::Engine* engine = nullptr);
 
@@ -188,7 +185,6 @@ class Pipeline {
  private:
   const netsim::Universe* universe_;
   PipelineOptions options_;
-  engine::Engine* engine_;
   netsim::NetworkSim* sim_;          // for the probe-count telemetry
   obs::Observability* obs_;          // borrowed; null = disabled
   sources::SourceSimulator sources_;

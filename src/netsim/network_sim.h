@@ -201,10 +201,10 @@ class NetworkSim {
   // sim's ONLY mutable state, no other memory is published through
   // it, and nothing branches on intermediate values — every reader
   // (probes_sent()) runs after the pool's run() barrier, whose
-  // acquire/release on ThreadPool::remaining_ already orders the
-  // adds. Atomicity alone keeps the total exact; the schedule-
-  // independent sum is what keeps output byte-identical across
-  // thread counts.
+  // acquire/release on ThreadPool::remaining_ (each finished task's
+  // decrement, the caller's load of zero) already orders the adds.
+  // Atomicity alone keeps the total exact; the schedule-independent
+  // sum is what keeps output byte-identical across thread counts.
   std::atomic<std::uint64_t> probes_sent_{0};
 };
 

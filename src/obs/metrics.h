@@ -25,7 +25,7 @@
 // Determinism: a metric registered `deterministic` promises that its
 // merged value is a pure function of (universe seed, day sequence) —
 // independent of thread count and scheduling. Coordinator-written
-// pipeline metrics qualify; engine scheduling metrics (task/steal/
+// pipeline metrics qualify; engine scheduling metrics (task and
 // chunk counts) and every timing metric do not and must be registered
 // with deterministic = false. tests/test_obs.cpp sweeps seeds x
 // thread counts over exactly the deterministic subset.

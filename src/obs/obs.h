@@ -73,7 +73,8 @@ struct CoreMetrics {
   MetricId days;              // counter: run_day invocations
   // Nondeterministic engine scheduling metrics (per-worker lanes):
   MetricId pool_tasks;     // counter: tasks executed by pool threads
-  MetricId pool_steals;    // counter: tasks taken from another queue
+  MetricId pool_steals;    // counter: always 0, the pool does not
+                           // steal; kept for perfbench's Tracer
   MetricId parallel_fors;  // counter: parallel sweeps dispatched
   MetricId chunks;         // counter: chunks across all sweeps
   MetricId chunk_rows;     // histogram: rows per chunk

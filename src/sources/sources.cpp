@@ -60,10 +60,8 @@ double exp_curve(double x, double k) {
 
 }  // namespace
 
-SourceSimulator::SourceSimulator(const netsim::Universe& universe,
-                                 netsim::NetworkSim& sim,
-                                 engine::Engine* engine)
-    : universe_(&universe), sim_(&sim), engine_(engine) {
+SourceSimulator::SourceSimulator(const netsim::Universe& universe)
+    : universe_(&universe) {
   for (std::size_t s = 0; s < netsim::kAllSources.size(); ++s) {
     Pool& pool = pools_[s];
     const auto& zones = universe_->zones();
@@ -86,8 +84,8 @@ SourceSimulator::SourceSimulator(const netsim::Universe& universe,
   // Pre-size every accumulator to its campaign-final count: the daily
   // draw target is final_count * growth_fraction <= final_count, so a
   // warm collect never grows a container (day-loop zero-alloc
-  // contract). One shared draw/result scratch covers the largest
-  // single source.
+  // contract). One shared result scratch covers the largest single
+  // source.
   std::size_t max_final = 0;
   for (std::size_t s = 0; s < netsim::kAllSources.size(); ++s) {
     const auto cap =
@@ -96,7 +94,6 @@ SourceSimulator::SourceSimulator(const netsim::Universe& universe,
     states_[s].cumulative.reserve(cap);
     max_final = std::max(max_final, cap);
   }
-  drawn_.reserve(max_final);
   result_.new_addresses.reserve(max_final);
 }
 
@@ -181,35 +178,15 @@ const CollectResult& SourceSimulator::collect(
   result_.new_addresses.clear();
   const bool path_discovery =
       source == SourceId::kScamper && !targets.empty();
-  if (state.drawn < target_count) {
-    const std::uint64_t first = state.drawn;
-    const std::size_t count = static_cast<std::size_t>(target_count - first);
-    // Draws are pure in the draw index, so they run batched on the
-    // engine; the first-seen dedup below must stay serial in draw
-    // order to keep the hitlist order identical to the serial path.
-    drawn_.clear();
-    drawn_.resize(count);
-    auto fill = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        drawn_[k] =
-            draw(source, src_key, first + k, day, path_discovery, targets);
-      }
-    };
-    if (engine_ != nullptr && engine_->parallel()) {
-      engine_->parallel_for(count, 256, fill);
-    } else {
-      fill(0, count);
-    }
-    state.drawn = target_count;
-    for (const auto& a : drawn_) {
-      if (state.seen.insert(a)) {
-        state.cumulative.push_back(a);
-        result_.new_addresses.push_back(a);
-      }
+  for (; state.drawn < target_count; ++state.drawn) {
+    const Address a =
+        draw(source, src_key, state.drawn, day, path_discovery, targets);
+    if (state.seen.insert(a)) {
+      state.cumulative.push_back(a);
+      result_.new_addresses.push_back(a);
     }
   }
   result_.cumulative_count = state.cumulative.size();
-  (void)sim_;
   return result_;
 }
 

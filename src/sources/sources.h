@@ -31,17 +31,23 @@ struct CollectResult {
 
 class SourceSimulator {
  public:
-  SourceSimulator(const netsim::Universe& universe, netsim::NetworkSim& sim,
-                  engine::Engine* engine = nullptr);
+  explicit SourceSimulator(const netsim::Universe& universe);
+
+  /// The network simulator and the engine are unused: draws need only
+  /// the universe, and collect runs serially. The overload stays for
+  /// perfbench's copy of the day loop (TracedAssembly), which calls
+  /// this signature until ROADMAP item 1 deletes that copy.
+  SourceSimulator(const netsim::Universe& universe, netsim::NetworkSim&,
+                  engine::Engine* = nullptr)
+      : SourceSimulator(universe) {}
 
   /// Advance the source to `day` and return the addresses that are
-  /// new since the previous collect for this source. Each draw is a
-  /// pure function of (source key, draw index, day), so with an
-  /// engine attached the draws run batched on the workers while the
-  /// first-seen dedup stays serial in draw order — output identical
-  /// for any thread count. The returned reference is a reused scratch
-  /// member: valid until the next collect call, so consume (or copy)
-  /// it before collecting the next source.
+  /// new since the previous collect for this source, in draw order.
+  /// Each draw is a pure function of (source key, draw index, day),
+  /// deduplicated against everything the source emitted before as it
+  /// is drawn. The returned reference is a reused scratch member:
+  /// valid until the next collect call, so consume (or copy) it
+  /// before collecting the next source.
   const CollectResult& collect(netsim::SourceId source, int day);
 
   /// Scamper overload: traceroute targets seed extra router-side
@@ -79,15 +85,10 @@ class SourceSimulator {
                      const std::vector<ipv6::Address>& targets) const;
 
   const netsim::Universe* universe_;
-  netsim::NetworkSim* sim_;
-  engine::Engine* engine_;
   std::array<State, netsim::kAllSources.size()> states_;
   std::array<Pool, netsim::kAllSources.size()> pools_;
-  // Per-collect scratch, reused across calls (capacity pre-sized to
-  // the campaign-final draw count in the constructor). Workers write
-  // disjoint index-addressed slots of drawn_ between the dispatch and
-  // the pool barrier; result_ is coordinator-only.
-  std::vector<ipv6::Address> drawn_;
+  // Per-collect result, reused across calls (capacity pre-sized to
+  // the largest campaign-final source count in the constructor).
   CollectResult result_;
 };
 

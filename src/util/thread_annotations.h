@@ -20,7 +20,7 @@
 //  - every field written under a mutex is V6H_GUARDED_BY(that mutex);
 //  - atomics are NOT guarded — each std::atomic field instead carries
 //    a comment stating the invariant that makes its memory order
-//    sufficient (see NetworkSim::probes_sent_, ThreadPool::task_);
+//    sufficient (see NetworkSim::probes_sent_, ThreadPool::cursor_);
 //  - structures shared with engine workers without a lock (the
 //    resolved-target columns, ScanFrame's mask column, TargetStore)
 //    document their phase discipline — who writes, when, and what

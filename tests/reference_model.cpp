@@ -43,7 +43,7 @@ ReferenceModel::ReferenceModel(const netsim::Universe& universe,
       apd_(apd),
       protocols_(std::move(protocols)),
       sim_(universe),
-      sources_(universe, sim_) {}
+      sources_(universe) {}
 
 DayRecord ReferenceModel::run_day(int day) {
   DayRecord out;

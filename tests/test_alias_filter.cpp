@@ -8,8 +8,7 @@
 //     model, for addresses inside, just outside, and far from the
 //     pool's prefixes;
 //   - prefixes() is sorted and equals the model's set;
-//   - is_aliased_many equals is_aliased element for element, on a
-//     serial engine and on a 4-worker engine.
+//   - is_aliased_many equals is_aliased element for element.
 // Two scripted cases pin that duplicate inserts and removes are
 // no-ops, and that a length whose last prefix is removed stops
 // answering and answers again once a prefix of it returns.
@@ -27,7 +26,6 @@
 #include <set>
 #include <vector>
 
-#include "engine/engine.h"
 #include "hitlist/pipeline.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
@@ -41,12 +39,6 @@ using ipv6::Prefix;
 namespace {
 
 constexpr std::uint8_t kLengths[] = {0, 32, 48, 64, 96, 112, 128};
-
-// The engines is_aliased_many runs on: serial and 4 workers.
-struct Engines {
-  engine::Engine serial{engine::EngineOptions{1}};
-  engine::Engine parallel{engine::EngineOptions{4}};
-};
 
 // The address just outside `p`: `a` inside it with the last prefix
 // bit flipped (no such address for /0).
@@ -64,8 +56,7 @@ Address just_outside(const Prefix& p, Address a) {
 // A pool of prefixes at every length in kLengths: a few nested chains
 // (one base address cut at each length) plus prefixes from random
 // bases. Probe addresses sit inside, just outside, and away from
-// them, enough of them that is_aliased_many splits into several
-// engine chunks.
+// them.
 struct Workload {
   std::vector<Prefix> pool;
   std::vector<Address> probes;
@@ -98,7 +89,6 @@ struct Checker {
   std::uint64_t seed;
   const char* phase;
   const Workload& work;
-  Engines& engines;
   std::vector<char> many;
 
   // One full comparison of `filter` against `model` after `step`;
@@ -130,17 +120,13 @@ struct Checker {
         return fail("is_aliased != brute-force contains scan");
       }
     }
-    for (engine::Engine* eng : {&engines.serial, &engines.parallel}) {
-      filter.is_aliased_many(work.probes.data(), work.probes.size(), &many,
-                             eng);
-      if (many.size() != work.probes.size()) {
-        return fail("is_aliased_many output size");
-      }
-      for (std::size_t i = 0; i < many.size(); ++i) {
-        if ((many[i] != 0) != filter.is_aliased(work.probes[i])) {
-          return fail(eng->parallel() ? "is_aliased_many (4 threads)"
-                                      : "is_aliased_many (1 thread)");
-        }
+    filter.is_aliased_many(work.probes.data(), work.probes.size(), &many);
+    if (many.size() != work.probes.size()) {
+      return fail("is_aliased_many output size");
+    }
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      if ((many[i] != 0) != filter.is_aliased(work.probes[i])) {
+        return fail("is_aliased_many != is_aliased");
       }
     }
     return true;
@@ -150,10 +136,10 @@ struct Checker {
 // Random insert / remove / re-insert over the pool. Removes pick a
 // live prefix half the time (so lengths drain to zero and refill) and
 // any pool prefix otherwise (absent removes must be no-ops).
-void random_sequence(std::uint64_t seed, std::size_t iters, Engines& engines) {
+void random_sequence(std::uint64_t seed, std::size_t iters) {
   util::Rng rng(seed);
   const Workload work(rng);
-  Checker check{seed, "random", work, engines, {}};
+  Checker check{seed, "random", work, {}};
   hitlist::AliasFilter filter;
   std::set<Prefix> model;
   if (!check(filter, model, 0)) return;
@@ -179,10 +165,10 @@ void random_sequence(std::uint64_t seed, std::size_t iters, Engines& engines) {
 
 // Scripted: a duplicate insert and a duplicate or absent remove leave
 // the filter as it was.
-void duplicate_ops(std::uint64_t seed, Engines& engines) {
+void duplicate_ops(std::uint64_t seed) {
   util::Rng rng(seed ^ 0xd0b1e);
   const Workload work(rng);
-  Checker check{seed, "duplicates", work, engines, {}};
+  Checker check{seed, "duplicates", work, {}};
   hitlist::AliasFilter filter;
   std::set<Prefix> model;
   std::size_t step = 0;
@@ -205,10 +191,10 @@ void duplicate_ops(std::uint64_t seed, Engines& engines) {
 
 // Scripted: every length of a nested chain appears, drains to zero
 // while the others stay live, and comes back.
-void length_round_trip(std::uint64_t seed, Engines& engines) {
+void length_round_trip(std::uint64_t seed) {
   util::Rng rng(seed ^ 0x1e9);
   const Workload work(rng);
-  Checker check{seed, "length-round-trip", work, engines, {}};
+  Checker check{seed, "length-round-trip", work, {}};
   hitlist::AliasFilter filter;
   std::set<Prefix> model;
   std::size_t step = 0;
@@ -250,11 +236,10 @@ int main(int argc, char** argv) {
       iters = std::strtoull(argv[++i], nullptr, 10);
     }
   }
-  Engines engines;
   for (const auto seed : seeds) {
-    random_sequence(seed, iters, engines);
-    duplicate_ops(seed, engines);
-    length_round_trip(seed, engines);
+    random_sequence(seed, iters);
+    duplicate_ops(seed);
+    length_round_trip(seed);
   }
   std::printf("%zu seed(s) x %zu ops: %d checks, %d failures\n", seeds.size(),
               iters, v6h::test::checks, v6h::test::failures);

@@ -1,14 +1,18 @@
-// Engine chunking and pool dispatch regression tests (ISSUE 9
-// satellite): the parallel_for chunk count is derived from the range
-// size and the worker count with the explicit kMaxChunksPerSweep
-// ceiling, every index of [0, n) is visited exactly once at any
-// chunk/thread geometry, and ThreadPool::run survives task counts of
-// 1e5+ (the batched per-queue enqueue path) without losing or
-// duplicating an index.
+// Engine chunking and pool dispatch regression tests: the
+// parallel_for chunk count is derived from the range size and the
+// worker count (at most 8 chunks per worker), every index of [0, n) is
+// visited exactly once at any chunk/thread geometry, ThreadPool::run
+// survives task counts of 1e5+ on its one claim cursor without losing
+// or duplicating an index, and tens of thousands of back-to-back runs
+// never let a worker still draining one run claim an index of the
+// next (the hazard the cursor's epoch tag exists for).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -21,10 +25,9 @@ using namespace v6h;
 
 namespace {
 
-// The >= 1e5 task regression: the old per-task lock/enqueue pattern is
-// gone, but the contract stays observable — run() must execute every
-// index exactly once regardless of how the queues were filled, and a
-// second run over the recycled queues must too.
+// The >= 1e5 task regression: run() must execute every index exactly
+// once however the claims interleave, and a second run on the same
+// cursor must too.
 void pool_large_run(unsigned threads) {
   engine::ThreadPool pool(threads);
   constexpr std::size_t kTasks = 120000;
@@ -42,9 +45,78 @@ void pool_large_run(unsigned threads) {
   CHECK_EQ(wrong, 0u);
 }
 
+// Back-to-back runs with counts cycling over 1..64: each task records
+// (run id, index), and a record arriving after its run returned, or an
+// index outside its run's count, is a violation. Short runs make the
+// race likely — a worker that loses the claim for a run's last index
+// is still in its claim loop when the caller has returned and opened
+// the next run, so an untagged cursor would let it take, skip or
+// duplicate an index of that next run. A skipped index leaves its run
+// waiting forever, so a watchdog fails the test when no run has
+// returned for 30 s.
+void pool_back_to_back(unsigned threads) {
+  engine::ThreadPool pool(threads);
+  constexpr std::size_t kRuns = 20000;
+  constexpr std::size_t kMaxCount = 64;
+  std::vector<std::atomic<std::uint8_t>> hits(kRuns * kMaxCount);
+  std::atomic<std::size_t> returned{0};  // runs that have returned
+  std::atomic<std::size_t> late{0};
+  std::atomic<std::size_t> out_of_range{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    using Clock = std::chrono::steady_clock;
+    std::size_t last = 0;
+    auto since = Clock::now();
+    while (!finished.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::size_t now = returned.load(std::memory_order_acquire);
+      if (now != last) {
+        last = now;
+        since = Clock::now();
+      } else if (Clock::now() - since > std::chrono::seconds(30)) {
+        std::fprintf(stderr,
+                     "FAIL pool_back_to_back threads=%u: run %zu has not "
+                     "returned after 30 s (an index was lost)\n",
+                     threads, now);
+        std::fflush(stderr);
+        std::_Exit(1);
+      }
+    }
+  });
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    const std::size_t count = 1 + run % kMaxCount;
+    auto task = [&, run, count](std::size_t i) {
+      if (returned.load(std::memory_order_acquire) > run) {
+        late.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (i >= count) {
+        out_of_range.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      hits[run * kMaxCount + i].fetch_add(1, std::memory_order_relaxed);
+    };
+    pool.run(count, util::FunctionRef<void(std::size_t)>(task));
+    returned.store(run + 1, std::memory_order_release);
+  }
+  finished.store(true, std::memory_order_release);
+  watchdog.join();
+  std::size_t wrong = 0;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    const std::size_t count = 1 + run % kMaxCount;
+    for (std::size_t i = 0; i < kMaxCount; ++i) {
+      const unsigned expect = i < count ? 1 : 0;
+      wrong += hits[run * kMaxCount + i].load(std::memory_order_relaxed) !=
+               expect;
+    }
+  }
+  CHECK_EQ(wrong, 0u);
+  CHECK_EQ(late.load(), 0u);
+  CHECK_EQ(out_of_range.load(), 0u);
+}
+
 // Full-range coverage at a large n with the smallest grain, plus the
-// chunk-count ceiling read back through the metrics registry (the
-// same numbers the telemetry layer exports).
+// chunk count read back through the metrics registry (the same
+// numbers the telemetry layer exports).
 void parallel_for_coverage(unsigned threads) {
   engine::EngineOptions engine_options;
   engine_options.threads = threads;
@@ -76,12 +148,9 @@ void parallel_for_coverage(unsigned threads) {
   for (std::size_t i = 0; i < kRows; ++i) wrong += marks[i] != 1;
   CHECK_EQ(wrong, 0u);
   CHECK_EQ(covered.load(), kRows);
-  // The ceiling: never more chunks than ~8 per worker, hard-capped.
-  const std::size_t expected_cap =
-      std::min<std::size_t>(static_cast<std::size_t>(threads) * 8,
-                            engine::kMaxChunksPerSweep);
+  // Never more than 8 chunks per worker.
   CHECK(calls.load() >= 1);
-  CHECK(calls.load() <= std::max<std::size_t>(expected_cap, 1));
+  CHECK(calls.load() <= static_cast<std::size_t>(threads) * 8);
 
   // The registry saw the same sweep the callback counted: one
   // parallel_for, `calls` chunks (parallel engines only — a serial
@@ -180,6 +249,7 @@ int main(int argc, char** argv) {
   for (const unsigned threads :
        v6h::test::thread_counts_from_cli(argc, argv, {2, 4, 8})) {
     if (threads < 2) continue;  // the pool needs at least one worker
+    pool_back_to_back(threads);
     pool_large_run(threads);
   }
   for (const unsigned threads :
