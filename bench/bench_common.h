@@ -138,7 +138,9 @@ struct BenchArgs {
                                        net::kAllProtocols.end()};
   long long probe_budget = 0;  // daily probe budget; 0 = unlimited
   int retries = 0;             // extra attempts for unanswered probes
-  std::string out_dir = ".";
+  // Artifacts go to their own directory, created on first write, so a
+  // run from the repository root never overwrites committed files.
+  std::string out_dir = "bench-out";
   // Observability (src/obs): --trace writes a Chrome trace-event JSON
   // of the run, --metrics dumps the merged registry, --obs-off turns
   // the layer off entirely (the overhead-gate baseline). Both paths

@@ -1,5 +1,5 @@
 // Microbenchmarks for the hot primitives underneath the measurement
-// pipeline: address parse/format, trie longest-prefix matching,
+// pipeline: address parse/format, longest-prefix matching,
 // fan-out address generation, entropy fingerprints, k-means, and the
 // end-to-end per-probe cost of the simulated wire.
 
@@ -12,7 +12,7 @@
 #include "entropy/clustering.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
-#include "ipv6/trie.h"
+#include "ipv6/prefix_index.h"
 #include "netsim/network_sim.h"
 #include "scan/resolved_table.h"
 #include "util/rng.h"
@@ -21,7 +21,7 @@ namespace {
 
 using v6h::ipv6::Address;
 using v6h::ipv6::Prefix;
-using v6h::ipv6::PrefixTrie;
+using v6h::ipv6::PrefixIndex;
 
 void BM_AddressParse(benchmark::State& state) {
   const std::string text = "2001:db8:407:8000:181c:4fcb:8ca8:7c64";
@@ -41,14 +41,15 @@ void BM_AddressFormat(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressFormat);
 
-void BM_TrieLongestMatch(benchmark::State& state) {
+void BM_PrefixIndexLongestMatch(benchmark::State& state) {
   v6h::util::Rng rng(1);
-  PrefixTrie<int> trie;
+  std::vector<std::pair<Prefix, int>> entries;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     const Address a = Address::from_u64(0x2000000000000000ULL | rng.next_u64() >> 3,
                                         rng.next_u64());
-    trie.insert(Prefix(a, static_cast<std::uint8_t>(20 + rng.uniform(29))), i);
+    entries.emplace_back(Prefix(a, static_cast<std::uint8_t>(20 + rng.uniform(29))), i);
   }
+  const PrefixIndex<int> index(entries);
   std::vector<Address> probes;
   for (int i = 0; i < 1024; ++i) {
     probes.push_back(Address::from_u64(0x2000000000000000ULL | rng.next_u64() >> 3,
@@ -56,11 +57,11 @@ void BM_TrieLongestMatch(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    auto m = trie.longest_match(probes[i++ & 1023]);
+    auto m = index.longest_match(probes[i++ & 1023]);
     benchmark::DoNotOptimize(m);
   }
 }
-BENCHMARK(BM_TrieLongestMatch)->Arg(1000)->Arg(10000)->Arg(56000);
+BENCHMARK(BM_PrefixIndexLongestMatch)->Arg(1000)->Arg(10000)->Arg(56000);
 
 void BM_FanoutAddressGeneration(benchmark::State& state) {
   const Prefix p = v6h::ipv6::must_parse_prefix("2001:db8:407:8000::/64");

@@ -25,7 +25,7 @@ MurdockResult murdock_detect(netsim::NetworkSim& sim,
     }
     if (responded == 16) {
       result.aliased.push_back(p96);
-      result.trie.insert(p96, true);
+      result.aliased_set.insert(p96);
     }
   }
   return result;

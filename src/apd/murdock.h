@@ -9,8 +9,8 @@
 
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
-#include "ipv6/trie.h"
 #include "netsim/network_sim.h"
+#include "util/flat_hash.h"
 
 namespace v6h::apd {
 
@@ -18,11 +18,12 @@ struct MurdockResult {
   std::vector<ipv6::Prefix> aliased;  // the /96s judged aliased
   std::uint64_t addresses_probed = 0;
 
+  /// Every judged prefix is a /96, so one probe of a's /96 answers.
   bool is_aliased(const ipv6::Address& a) const {
-    return trie.longest_match(a) != nullptr;
+    return aliased_set.contains(ipv6::Prefix(a, 96));
   }
 
-  ipv6::PrefixTrie<bool> trie;
+  util::FlatSet<ipv6::Prefix, ipv6::PrefixHash> aliased_set;
 };
 
 MurdockResult murdock_detect(netsim::NetworkSim& sim,

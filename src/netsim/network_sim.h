@@ -5,7 +5,7 @@
 // the alias-resolution analyses of Section 5.4 need.
 //
 // Three probe paths share one response predicate:
-//  - probe(): resolve the target through the universe (zone trie, slot
+//  - probe(): resolve the target through the universe (zone index, slot
 //    inversion, service mask) on every call and, when it answers, fill
 //    the machine image — the per-address path, and the only one that
 //    reports the TCP fingerprint (Table 5's APD validation).

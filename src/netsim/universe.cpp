@@ -108,14 +108,17 @@ std::optional<std::uint32_t> Zone::slot_of(const Address& a, int day) const {
 
 // ------------------------------------------------------------ BgpTable
 
-void BgpTable::add(const Announcement& announcement) {
-  trie_.insert(announcement.prefix,
-               static_cast<std::uint32_t>(announcements_.size()));
-  announcements_.push_back(announcement);
+BgpTable::BgpTable(std::vector<Announcement> announcements)
+    : announcements_(std::move(announcements)) {
+  std::vector<std::pair<Prefix, std::uint32_t>> entries;
+  for (const Announcement& a : announcements_) {
+    entries.emplace_back(a.prefix, static_cast<std::uint32_t>(entries.size()));
+  }
+  index_ = ipv6::PrefixIndex<std::uint32_t>(entries);
 }
 
 const Announcement* BgpTable::lookup(const Address& a) const {
-  const std::uint32_t* index = trie_.longest_match(a);
+  const std::uint32_t* index = index_.longest_match(a);
   return index == nullptr ? nullptr : &announcements_[*index];
 }
 
@@ -190,9 +193,20 @@ Universe::Universe(const UniverseParams& params, engine::Engine* engine)
   build(engine);
 }
 
-const Zone* Universe::zone_at(const Address& a) const {
-  const std::uint32_t* index = zone_trie_.longest_match(a);
+const Zone* Universe::zone_at(const Address& a, unsigned max_length) const {
+  const std::uint32_t* index = zone_index_.longest_match(a, max_length);
   return index == nullptr ? nullptr : &zones_[*index];
+}
+
+std::span<const Universe::ZoneEntry> Universe::nested_zones(
+    const Prefix& prefix) const {
+  // In (address, length) order the zones inside `prefix` are one run,
+  // right after the zones that contain it and share its address.
+  const auto first = std::upper_bound(sorted_zones_.begin(), sorted_zones_.end(),
+                                      ZoneEntry{prefix, UINT32_MAX});
+  auto last = first;
+  while (last != sorted_zones_.end() && prefix.contains(last->first.address())) ++last;
+  return {first, last};
 }
 
 bool Universe::truly_aliased_at(const Address& a) const {
@@ -486,19 +500,23 @@ void Universe::build(engine::Engine* engine) {
     generate(0, job_count);
   }
 
-  // Serial commit in AS order: zone ids, keys, trie layout, and BGP
-  // order are independent of the generation schedule.
-  auto add_zone = [&](ZoneConfig config) {
-    const auto id = static_cast<std::uint64_t>(zones_.size() + 1);
-    const std::uint64_t key = hash64(params_.seed, id, 0x20E5);
-    zone_trie_.insert(config.prefix, static_cast<std::uint32_t>(zones_.size()));
-    if (config.aliased) aliased_prefixes_.push_back(config.prefix);
-    zones_.emplace_back(id, key, std::move(config));
-  };
+  // Serial commit in AS order: zone ids, keys, the zone lookups, and
+  // BGP order are independent of the generation schedule.
+  std::vector<Announcement> announcements;
   for (auto& plan : plans) {
-    for (const auto& announcement : plan.announcements) bgp_.add(announcement);
-    for (auto& config : plan.zones) add_zone(std::move(config));
+    announcements.insert(announcements.end(), plan.announcements.begin(),
+                         plan.announcements.end());
+    for (auto& config : plan.zones) {
+      const auto index = static_cast<std::uint32_t>(zones_.size());
+      sorted_zones_.emplace_back(config.prefix, index);
+      if (config.aliased) aliased_prefixes_.push_back(config.prefix);
+      zones_.emplace_back(index + 1, hash64(params_.seed, index + 1, 0x20E5),
+                          std::move(config));
+    }
   }
+  bgp_ = BgpTable(std::move(announcements));
+  zone_index_ = ipv6::PrefixIndex<std::uint32_t>(sorted_zones_);
+  std::sort(sorted_zones_.begin(), sorted_zones_.end());
 }
 
 }  // namespace v6h::netsim

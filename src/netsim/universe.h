@@ -11,13 +11,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
 #include "ipv6/address.h"
 #include "ipv6/prefix.h"
-#include "ipv6/trie.h"
+#include "ipv6/prefix_index.h"
 #include "net/protocol.h"
 #include "util/rng.h"
 
@@ -118,9 +119,13 @@ struct Announcement {
   std::uint32_t asn = 0;
 };
 
+/// The announced prefixes, built once. lookup() is a longest-prefix
+/// match through an ipv6::PrefixIndex (present lengths: /32 and /48);
+/// a repeated prefix resolves to its last announcement.
 class BgpTable {
  public:
-  void add(const Announcement& announcement);
+  BgpTable() = default;
+  explicit BgpTable(std::vector<Announcement> announcements);
 
   const std::vector<Announcement>& announcements() const { return announcements_; }
   std::size_t size() const { return announcements_.size(); }
@@ -131,7 +136,7 @@ class BgpTable {
 
  private:
   std::vector<Announcement> announcements_;
-  ipv6::PrefixTrie<std::uint32_t> trie_;  // index into announcements_
+  ipv6::PrefixIndex<std::uint32_t> index_;  // index into announcements_
 };
 
 struct UniverseParams {
@@ -147,8 +152,8 @@ class Universe {
   /// With an engine, per-AS zone plans are generated on the workers
   /// (each AS re-seeds its RNG from the universe seed + its ASN, so
   /// no draw depends on the schedule) and committed serially in AS
-  /// order — zone ids, trie layout, and BGP order are byte-identical
-  /// to the serial build.
+  /// order — zone ids, the zone lookups and BGP order are
+  /// byte-identical to the serial build.
   explicit Universe(const UniverseParams& params = {},
                     engine::Engine* engine = nullptr);
 
@@ -156,20 +161,18 @@ class Universe {
   const std::vector<Zone>& zones() const { return zones_; }
   const BgpTable& bgp() const { return bgp_; }
 
-  const Zone* zone_at(const ipv6::Address& a) const;
+  /// The zone of the longest zone prefix of length <= max_length that
+  /// contains `a` (the last one added, if repeated), or nullptr: at
+  /// most one hash probe per present zone length (/48, /96, /112, /120).
+  const Zone* zone_at(const ipv6::Address& a, unsigned max_length = 128) const;
 
-  /// Zone lookups under one prefix: zone_cursor(prefix) walks the
-  /// zone trie to the prefix once, and zone_at(cursor, a) equals
-  /// zone_at(a) for any `a` inside that prefix, walking only the
-  /// levels below it (none when no zone is nested under the prefix).
-  using ZoneCursor = ipv6::PrefixTrie<std::uint32_t>::Cursor;
-  ZoneCursor zone_cursor(const ipv6::Prefix& prefix) const {
-    return zone_trie_.seek(prefix);
-  }
-  const Zone* zone_at(const ZoneCursor& cursor, const ipv6::Address& a) const {
-    const std::uint32_t* index = zone_trie_.longest_match_from(cursor, a);
-    return index == nullptr ? nullptr : &zones_[*index];
-  }
+  /// A zone prefix and its index in zones().
+  using ZoneEntry = std::pair<ipv6::Prefix, std::uint32_t>;
+
+  /// The zones nested below `prefix` (inside it and longer), sorted by
+  /// (prefix, index): the ones holding an address come shortest first,
+  /// and the last of them is its zone_at().
+  std::span<const ZoneEntry> nested_zones(const ipv6::Prefix& prefix) const;
 
   const std::vector<ipv6::Prefix>& true_aliased_prefixes() const {
     return aliased_prefixes_;
@@ -185,7 +188,10 @@ class Universe {
 
   UniverseParams params_;
   std::vector<Zone> zones_;
-  ipv6::PrefixTrie<std::uint32_t> zone_trie_;
+  // The zones' two lookup structures: the point index for zone_at()
+  // and the list sorted by (prefix, index) for nested_zones().
+  ipv6::PrefixIndex<std::uint32_t> zone_index_;
+  std::vector<ZoneEntry> sorted_zones_;
   BgpTable bgp_;
   std::vector<ipv6::Prefix> aliased_prefixes_;
   std::vector<std::pair<std::uint32_t, std::string>> named_ases_;

@@ -1,6 +1,10 @@
 // Universe determinism and internal consistency, plus probe-level
 // invariants of the simulated wire.
 
+#include <bit>
+#include <vector>
+
+#include "hitlist/pipeline.h"
 #include "netsim/network_sim.h"
 #include "netsim/universe.h"
 #include "test_main.h"
@@ -56,10 +60,99 @@ void check_feistel_rounds() {
   }
 }
 
+// How many leading bits `a` and `b` share (128 when equal).
+unsigned common_length(const ipv6::Address& a, const ipv6::Address& b) {
+  if (a.hi != b.hi) return static_cast<unsigned>(std::countl_zero(a.hi ^ b.hi));
+  return 64 + static_cast<unsigned>(std::countl_zero(a.lo ^ b.lo));
+}
+
+// Index of the longest prefix of length <= max_length in `prefixes`
+// that contains `a` (the last one listed among equals), or -1: a
+// linear scan.
+std::int64_t linear_match(const std::vector<ipv6::Prefix>& prefixes,
+                          const ipv6::Address& a, unsigned max_length) {
+  std::int64_t best = -1;
+  int best_length = -1;
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    const ipv6::Prefix& p = prefixes[i];
+    if (p.length() <= max_length && static_cast<int>(p.length()) >= best_length &&
+        common_length(a, p.address()) >= p.length()) {
+      best = static_cast<std::int64_t>(i);
+      best_length = p.length();
+    }
+  }
+  return best;
+}
+
+// resolve_fanout(prefix) by linear scan: kFanoutWalk when a zone
+// longer than the prefix lies inside it, else the zone covering it.
+std::int64_t linear_fanout(const std::vector<ipv6::Prefix>& zones,
+                           const ipv6::Prefix& prefix) {
+  for (const ipv6::Prefix& z : zones) {
+    if (z.length() > prefix.length() &&
+        common_length(z.address(), prefix.address()) >= prefix.length()) {
+      return netsim::NetworkSim::kFanoutWalk;
+    }
+  }
+  const std::int64_t zone = linear_match(zones, prefix.address(), prefix.length());
+  return zone < 0 ? netsim::NetworkSim::kFanoutNoZone : zone;
+}
+
+// Universe::zone_at, BgpTable::lookup and NetworkSim::resolve_fanout
+// against linear scans over zones() and bgp().announcements(): every
+// row of a cold run_day at scale 0.3, random addresses, and
+// Prefix(row, L) for the APD and zone lengths.
+void check_lookups_against_linear_scan() {
+  netsim::UniverseParams params;
+  params.scale = 0.3;
+  params.seed = 1;
+  const Universe universe(params);
+  netsim::NetworkSim sim(universe);
+  hitlist::Pipeline pipeline(universe, sim, hitlist::PipelineOptions{});
+  pipeline.run_day(200);
+  std::vector<ipv6::Address> addresses = pipeline.targets();
+  CHECK(addresses.size() > 5000);
+
+  std::vector<ipv6::Prefix> zones;
+  for (const auto& zone : universe.zones()) zones.push_back(zone.prefix());
+  std::vector<ipv6::Prefix> announced;
+  for (const auto& a : universe.bgp().announcements()) announced.push_back(a.prefix);
+
+  util::Rng rng(0x1a7e);
+  for (int i = 0; i < 2000; ++i) {
+    addresses.push_back(ipv6::Address::from_u64(rng.next_u64(), rng.next_u64()));
+    const auto& inside = announced[rng.uniform(announced.size())];
+    addresses.push_back(inside.random_address(rng.next_u64()));
+  }
+
+  std::size_t point_mismatches = 0, fanout_mismatches = 0, walks = 0;
+  for (const ipv6::Address& a : addresses) {
+    const netsim::Zone* zone = universe.zone_at(a);
+    const std::int64_t zone_ref = linear_match(zones, a, 128);
+    point_mismatches += zone_ref < 0 ? zone != nullptr
+                                     : zone != &universe.zones()[zone_ref];
+    const netsim::Announcement* ann = universe.bgp().lookup(a);
+    const std::int64_t ann_ref = linear_match(announced, a, 128);
+    point_mismatches +=
+        ann_ref < 0 ? ann != nullptr
+                    : ann != &universe.bgp().announcements()[ann_ref];
+    for (const unsigned length : {32u, 48u, 64u, 96u, 112u, 120u, 124u, 128u}) {
+      const ipv6::Prefix prefix(a, static_cast<std::uint8_t>(length));
+      const std::int64_t ref = linear_fanout(zones, prefix);
+      fanout_mismatches += sim.resolve_fanout(prefix) != ref;
+      walks += ref == netsim::NetworkSim::kFanoutWalk;
+    }
+  }
+  CHECK_EQ(point_mismatches, 0u);
+  CHECK_EQ(fanout_mismatches, 0u);
+  CHECK(walks > 0);  // the walk class was exercised
+}
+
 }  // namespace
 
 static void run_tests() {
   check_feistel_rounds();
+  check_lookups_against_linear_scan();
 
   UniverseParams params;
   params.scale = 0.05;
